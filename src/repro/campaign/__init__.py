@@ -6,11 +6,16 @@
 - :mod:`repro.campaign.runner` -- per-AS campaign execution: topology
   build, TNT probing from every VP, fingerprinting, AReST analysis and
   ground-truth extraction.
-- :mod:`repro.campaign.shards` / :mod:`repro.campaign.shardexec` /
-  :mod:`repro.campaign.scale` -- paper-scale execution: deterministic
-  ``(as_id, vp_bucket)`` shards, a work-stealing lease executor with
-  crash recovery, and the two-phase (probe, analyze) campaign driver
-  with spill-file streaming and shard-scoped checkpointing.
+- :mod:`repro.campaign.shardexec` -- the one campaign executor: a
+  work-stealing pool of persistent, leased workers with per-attempt
+  deadlines, crash recovery and quarantine; the classic portfolio and
+  scale campaigns both run on it.
+  :mod:`repro.campaign.executor` holds the outcome types it shares
+  with its callers and :class:`GracefulShutdown`.
+- :mod:`repro.campaign.shards` / :mod:`repro.campaign.scale` --
+  paper-scale execution: deterministic ``(as_id, vp_bucket)`` shards
+  and the two-phase (probe, analyze) scale campaign with spill-file
+  streaming and shard-scoped checkpointing.
 """
 
 from repro.campaign.vantage_points import VantagePoint, default_vantage_points
@@ -27,7 +32,6 @@ from repro.campaign.executor import (
     ExecutionResult,
     GracefulShutdown,
     Quarantine,
-    SupervisedExecutor,
     TaskOutcome,
     TaskStatus,
 )
@@ -66,7 +70,6 @@ __all__ = [
     "ExecutionResult",
     "GracefulShutdown",
     "Quarantine",
-    "SupervisedExecutor",
     "TaskOutcome",
     "TaskStatus",
     "LeaseExecutor",

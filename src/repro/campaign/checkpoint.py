@@ -19,7 +19,7 @@ killed mid-append at worst truncates the final line -- :meth:`load`
 salvages every intact line before the damage, logs what it discarded,
 and compacts the file, so ``--resume`` keeps working after a crash or
 a partially-synced copy.  Version-1 checkpoints (one JSON object) are
-still read transparently.
+rejected with an error naming the version.
 """
 
 from __future__ import annotations
@@ -300,20 +300,20 @@ class CampaignCheckpoint:
             ) from None
         if not isinstance(header, dict) or header.get("kind") != _KIND:
             raise ValueError(f"not an AReST checkpoint: {self._path}")
+        version = header.get("version")
+        if version not in (2, 3) or "completed" in header:
+            # A v1 file (one JSON object) would otherwise load as an
+            # empty bank, and appending to it would corrupt it.
+            raise ValueError(
+                f"unsupported checkpoint version {version!r} in "
+                f"{self._path}: only JSONL versions 2 and 3 are readable"
+            )
         if header.get("config") != self._config:
             raise CheckpointMismatchError(
                 f"checkpoint {self._path} was written by a different "
                 f"campaign configuration; delete it or rerun with the "
                 f"original settings"
             )
-        if "completed" in header:
-            # Legacy v1: the whole file is one JSON object.
-            self._records = {
-                int(as_id): ("entry", _entry_from_json(entry))
-                for as_id, entry in header.get("completed", {}).items()
-            }
-            self._flush()  # upgrade to JSONL on the spot
-            return dict(self._entries)
         self._records = {}
 
         def decode(record: dict) -> tuple[int, str, object]:

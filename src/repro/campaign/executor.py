@@ -1,57 +1,29 @@
-"""Supervised task execution: bounded pool, deadlines, crash containment.
+"""Shared execution vocabulary: task outcomes and graceful shutdown.
 
 The paper's campaign probes 60 ASes from 50 vantage points; at that
 scale the execution plane fails in ways the data plane never does -- a
 worker wedges inside a stage, a box reboots and SIGKILLs the process,
-an operator Ctrl-Cs a half-done portfolio.  This module supervises a
-batch of independent tasks so those events are bounded in time and
-isolated in space:
+an operator Ctrl-Cs a half-done portfolio.  The classic portfolio and
+scale campaigns both run their tasks on
+:class:`~repro.campaign.shardexec.LeaseExecutor`; this module holds
+the types every caller shares with it:
 
-- **bounded process pool** -- at most ``jobs`` worker processes are
-  alive at once, one fresh process per task (no pool reuse, so one
-  task's corpse cannot poison the next task's interpreter);
-- **per-task deadline** -- a worker that exceeds ``timeout`` seconds of
-  wall clock is SIGKILLed and the task marked ``TIMEOUT``;
-- **heartbeat watchdog** -- the supervisor polls every
-  ``watch_interval`` seconds; workers stream stage heartbeats, and with
-  ``heartbeat_timeout`` set a worker silent for that long is declared
-  hung before its overall deadline expires.  A worker that dies without
-  delivering a result (SIGKILL, segfault, OOM kill) is detected by its
-  exit code and marked ``CRASH``;
-- **one-shot re-dispatch, then quarantine** -- a deadline or crash
-  victim is re-dispatched exactly once (``max_redispatch``); a second
-  strike trips the per-task circuit breaker and the task is quarantined
-  instead of burning the pool forever;
-- **graceful shutdown** -- a :class:`GracefulShutdown` flag (SIGINT or
-  SIGTERM) stops dispatch, drains in-flight workers (deadlines still
-  enforced) and returns a partial result marked ``interrupted``.
-
-Determinism: the supervisor imposes *no ordering of its own* on
-results -- outcomes are keyed, completion order is surfaced only
-through the ``on_complete`` callback, and callers that assemble
-reports in submission order get byte-identical output for any ``jobs``
-as long as each task is itself deterministic.  ``jobs=1`` runs every
-task in-process (no subprocess, no pickling) so single-job behaviour
-is exactly the plain loop it replaces.
+- :class:`TaskStatus` / :class:`TaskOutcome` -- how one task ended
+  (after any re-dispatch) and what the supervisor saw of it;
+- :class:`Quarantine` -- a poison task whose circuit breaker opened;
+- :class:`ExecutionResult` -- everything one ``run`` observed;
+- :class:`GracefulShutdown` -- SIGINT/SIGTERM as a drain request.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
-import multiprocessing
-import os
 import signal
-import time
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection, wait as connection_wait
-from typing import Any, Callable, Sequence
+from typing import Any
 
 logger = logging.getLogger(__name__)
-
-#: task callable: ``fn(payload, heartbeat)`` where ``heartbeat(note)``
-#: may be called freely to prove liveness / report the current stage
-TaskFn = Callable[[Any, Callable[[str], None]], Any]
 
 
 class TaskStatus(enum.Enum):
@@ -76,6 +48,9 @@ class TaskOutcome:
     value: Any = None
     #: error description (``ERROR``/``TIMEOUT``/``CRASH``)
     error: str | None = None
+    #: why a ``TIMEOUT``/``CRASH`` task was given up on: "timeout"
+    #: (deadline), "hung" (lease expired) or "crash" (worker died)
+    reason: str | None = None
     #: dispatch attempts consumed (> 1 means the task was re-dispatched)
     attempts: int = 1
     #: last heartbeat note received from the worker, if any
@@ -99,7 +74,7 @@ class Quarantine:
 
 @dataclass(slots=True)
 class ExecutionResult:
-    """Everything :meth:`SupervisedExecutor.run` observed."""
+    """Everything one ``LeaseExecutor.run`` observed."""
 
     #: final outcome per task key (tasks never dispatched are absent)
     outcomes: dict[Any, TaskOutcome] = field(default_factory=dict)
@@ -155,415 +130,3 @@ class GracefulShutdown:
         for signum, previous in self._previous.items():
             signal.signal(signum, previous)
         self._previous.clear()
-
-
-def _child_entry(fn: TaskFn, payload: Any, conn: Connection) -> None:
-    """Worker-side wrapper: run ``fn`` and stream the result back.
-
-    SIGINT is ignored so a terminal Ctrl-C (delivered to the whole
-    foreground process group) interrupts the *supervisor*, which then
-    drains workers instead of losing them mid-write.
-    """
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except ValueError:  # pragma: no cover - non-main-thread embedding
-        pass
-
-    def heartbeat(note: str) -> None:
-        conn.send(("hb", note))
-
-    try:
-        value = fn(payload, heartbeat)
-    except BaseException as exc:  # noqa: BLE001 -- report, then die
-        try:
-            conn.send(("exc", f"{type(exc).__name__}: {exc}"))
-            conn.close()
-        finally:
-            os._exit(1)
-    conn.send(("res", value))
-    conn.close()
-    os._exit(0)
-
-
-@dataclass(slots=True)
-class _Inflight:
-    """Supervisor-side state of one live worker."""
-
-    key: Any
-    payload: Any
-    attempts: int
-    process: multiprocessing.process.BaseProcess
-    conn: Connection
-    started: float
-    last_beat: float
-    last_stage: str | None = None
-    #: when the current heartbeat stage began (dispatch time initially)
-    stage_started: float = 0.0
-    #: observed seconds per completed heartbeat stage
-    stage_seconds: dict[str, float] = field(default_factory=dict)
-    #: result/exception message received, pending process exit
-    message: tuple[str, Any] | None = None
-
-
-def _close_stage(worker: _Inflight, now: float) -> None:
-    """Fold the currently-open heartbeat stage into the observed tally."""
-    if worker.last_stage is not None:
-        worker.stage_seconds[worker.last_stage] = (
-            worker.stage_seconds.get(worker.last_stage, 0.0)
-            + now
-            - worker.stage_started
-        )
-    worker.stage_started = now
-
-
-class SupervisedExecutor:
-    """Run independent keyed tasks under supervision.
-
-    Parameters
-    ----------
-    fn:
-        The task function, ``fn(payload, heartbeat) -> value``.  With
-        ``jobs > 1`` it must be picklable (module-level) and is executed
-        in a fresh subprocess per task.
-    jobs:
-        Maximum concurrent workers.  ``1`` selects the in-process path:
-        no subprocess, no pickling, no deadline enforcement -- behaviour
-        is exactly a plain sequential loop.
-    timeout:
-        Per-task wall-clock deadline in seconds (``None`` = unbounded).
-    heartbeat_timeout:
-        Declare a worker hung when it has been silent this long, even
-        before its deadline (``None`` = deadline only).
-    watch_interval:
-        Supervisor poll cadence in seconds; hung/killed workers are
-        detected within roughly one interval.
-    max_redispatch:
-        How many times a deadline/crash victim is re-dispatched before
-        quarantine (default 1: one second chance, then the circuit
-        breaker opens).
-    """
-
-    def __init__(
-        self,
-        fn: TaskFn,
-        jobs: int = 1,
-        timeout: float | None = None,
-        heartbeat_timeout: float | None = None,
-        watch_interval: float = 0.05,
-        max_redispatch: int = 1,
-    ) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if watch_interval <= 0:
-            raise ValueError("watch_interval must be positive")
-        if max_redispatch < 0:
-            raise ValueError("max_redispatch must be >= 0")
-        self.fn = fn
-        self.jobs = jobs
-        self.timeout = timeout
-        self.heartbeat_timeout = heartbeat_timeout
-        self.watch_interval = watch_interval
-        self.max_redispatch = max_redispatch
-
-    # -- public API -----------------------------------------------------------
-
-    def run(
-        self,
-        tasks: Sequence[tuple[Any, Any]],
-        on_complete: Callable[[TaskOutcome], None] | None = None,
-        stop: Callable[[], bool] | None = None,
-    ) -> ExecutionResult:
-        """Supervise ``tasks`` (``(key, payload)`` pairs) to completion.
-
-        ``on_complete`` fires once per task, in completion order, with
-        the final outcome (after any re-dispatch).  ``stop`` is polled
-        between dispatches; once true, no new task starts, in-flight
-        workers drain, and the result is marked interrupted.
-        """
-        keys = [key for key, _ in tasks]
-        if len(set(keys)) != len(keys):
-            raise ValueError("task keys must be unique")
-        if self.jobs == 1:
-            return self._run_inprocess(tasks, on_complete, stop)
-        return self._run_supervised(tasks, on_complete, stop)
-
-    # -- in-process path (jobs=1) ----------------------------------------------
-
-    def _run_inprocess(
-        self,
-        tasks: Sequence[tuple[Any, Any]],
-        on_complete: Callable[[TaskOutcome], None] | None,
-        stop: Callable[[], bool] | None,
-    ) -> ExecutionResult:
-        result = ExecutionResult()
-        beats: list[str] = []
-        for key, payload in tasks:
-            if stop is not None and stop():
-                result.interrupted = True
-                break
-            beats.clear()
-            try:
-                value = self.fn(payload, beats.append)
-            except KeyboardInterrupt:
-                result.interrupted = True
-                break
-            except Exception as exc:  # noqa: BLE001 -- per-task isolation
-                outcome = TaskOutcome(
-                    key=key,
-                    status=TaskStatus.ERROR,
-                    error=f"{type(exc).__name__}: {exc}",
-                    last_stage=beats[-1] if beats else None,
-                )
-            else:
-                outcome = TaskOutcome(
-                    key=key,
-                    status=TaskStatus.OK,
-                    value=value,
-                    last_stage=beats[-1] if beats else None,
-                )
-            result.outcomes[key] = outcome
-            if on_complete is not None:
-                on_complete(outcome)
-        return result
-
-    # -- supervised path (jobs>1) ----------------------------------------------
-
-    @staticmethod
-    def _mp_context():
-        """Fork where available (cheap, inherits imports), else spawn."""
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-
-    def _run_supervised(
-        self,
-        tasks: Sequence[tuple[Any, Any]],
-        on_complete: Callable[[TaskOutcome], None] | None,
-        stop: Callable[[], bool] | None,
-    ) -> ExecutionResult:
-        ctx = self._mp_context()
-        result = ExecutionResult()
-        pending: list[tuple[Any, Any, int]] = [
-            (key, payload, 1) for key, payload in tasks
-        ]
-        inflight: dict[Any, _Inflight] = {}
-        stopping = False
-
-        def finish(outcome: TaskOutcome) -> None:
-            result.outcomes[outcome.key] = outcome
-            if on_complete is not None:
-                on_complete(outcome)
-
-        try:
-            while pending or inflight:
-                if not stopping and stop is not None and stop():
-                    stopping = True
-                    result.interrupted = True
-                    pending.clear()
-                while pending and len(inflight) < self.jobs:
-                    key, payload, attempts = pending.pop(0)
-                    inflight[key] = self._dispatch(
-                        ctx, key, payload, attempts
-                    )
-                self._pump(inflight)
-                now = time.monotonic()
-                for key in list(inflight):
-                    worker = inflight[key]
-                    settled = self._settle(worker, now, stopping)
-                    if settled is None:
-                        continue
-                    del inflight[key]
-                    outcome, requeue = settled
-                    if requeue:
-                        logger.warning(
-                            "task %r %s after %.1fs (attempt %d); "
-                            "re-dispatching once",
-                            key,
-                            outcome.status.value,
-                            now - worker.started,
-                            worker.attempts,
-                        )
-                        pending.append(
-                            (key, worker.payload, worker.attempts + 1)
-                        )
-                        continue
-                    if outcome is not None:
-                        if outcome.status in (
-                            TaskStatus.TIMEOUT,
-                            TaskStatus.CRASH,
-                        ):
-                            reason = outcome.status.value
-                            if outcome.error and "hung" in outcome.error:
-                                reason = "hung"
-                            result.quarantined[key] = Quarantine(
-                                key=key,
-                                reason=reason,
-                                attempts=outcome.attempts,
-                                detail=outcome.error or "",
-                            )
-                            logger.warning(
-                                "task %r quarantined after %d attempt(s): %s",
-                                key,
-                                outcome.attempts,
-                                outcome.error,
-                            )
-                        finish(outcome)
-        finally:
-            for worker in inflight.values():
-                self._kill(worker)
-        return result
-
-    def _dispatch(
-        self, ctx, key: Any, payload: Any, attempts: int
-    ) -> _Inflight:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_child_entry,
-            args=(self.fn, payload, child_conn),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        now = time.monotonic()
-        return _Inflight(
-            key=key,
-            payload=payload,
-            attempts=attempts,
-            process=process,
-            conn=parent_conn,
-            started=now,
-            last_beat=now,
-            stage_started=now,
-        )
-
-    def _pump(self, inflight: dict[Any, _Inflight]) -> None:
-        """Drain every ready pipe, blocking at most one watch interval."""
-        if not inflight:
-            return
-        by_conn = {worker.conn: worker for worker in inflight.values()}
-        ready = connection_wait(
-            list(by_conn), timeout=self.watch_interval
-        )
-        now = time.monotonic()
-        for conn in ready:
-            self._drain(by_conn[conn], now)
-
-    @staticmethod
-    def _drain(worker: _Inflight, now: float) -> None:
-        """Read everything currently in one worker's pipe."""
-        while True:
-            try:
-                if not worker.conn.poll(0):
-                    return
-                kind, body = worker.conn.recv()
-            except (EOFError, OSError, BrokenPipeError):
-                return  # worker died mid-send; exit code settles it
-            worker.last_beat = now
-            if kind == "hb":
-                _close_stage(worker, now)
-                worker.last_stage = str(body)
-            else:  # "res" / "exc"
-                worker.message = (kind, body)
-
-    def _settle(
-        self, worker: _Inflight, now: float, stopping: bool
-    ) -> tuple[TaskOutcome | None, bool] | None:
-        """Decide one worker's fate; ``None`` means still running.
-
-        Returns ``(outcome, requeue)``; during shutdown drain victims
-        are neither re-queued nor quarantined (the run is interrupted;
-        resume will re-attempt them), signalled by ``(None, False)``.
-        """
-        expired = (
-            self.timeout is not None
-            and now - worker.started > self.timeout
-        )
-        if worker.message is None and not worker.process.is_alive():
-            # A fast worker may deliver its result and exit between the
-            # pump and this liveness check; drain the pipe before
-            # judging it by its corpse, or the answer is lost and a
-            # healthy task reads as a crash.
-            self._drain(worker, now)
-        if worker.message is not None:
-            # The result beat the deadline even if the exit didn't:
-            # never turn a delivered answer into a timeout.
-            if worker.process.is_alive():
-                if not expired:
-                    return None  # exiting momentarily
-                self._kill(worker)
-            else:
-                worker.process.join()
-                worker.conn.close()
-            kind, body = worker.message
-            if kind == "res":
-                return (
-                    TaskOutcome(
-                        key=worker.key,
-                        status=TaskStatus.OK,
-                        value=body,
-                        attempts=worker.attempts,
-                        last_stage=worker.last_stage,
-                    ),
-                    False,
-                )
-            _close_stage(worker, now)
-            return (
-                TaskOutcome(
-                    key=worker.key,
-                    status=TaskStatus.ERROR,
-                    error=str(body),
-                    attempts=worker.attempts,
-                    last_stage=worker.last_stage,
-                    stage_seconds=dict(worker.stage_seconds),
-                ),
-                False,
-            )
-        hung = (
-            self.heartbeat_timeout is not None
-            and now - worker.last_beat > self.heartbeat_timeout
-        )
-        if worker.process.is_alive() and not hung and not expired:
-            return None
-        if worker.process.is_alive():
-            # Deadline or heartbeat breach: contain with SIGKILL.
-            self._kill(worker)
-            status = TaskStatus.TIMEOUT
-            what = "went silent (hung)" if hung and not expired else (
-                "exceeded its deadline"
-            )
-            error = (
-                f"worker {what} after "
-                f"{now - worker.started:.1f}s in stage "
-                f"{worker.last_stage or 'unknown'}"
-            )
-        else:
-            worker.process.join()
-            worker.conn.close()
-            status = TaskStatus.CRASH
-            error = (
-                f"worker died without a result (exit code "
-                f"{worker.process.exitcode}) in stage "
-                f"{worker.last_stage or 'unknown'}"
-            )
-        _close_stage(worker, now)
-        if stopping:
-            return (None, False)
-        outcome = TaskOutcome(
-            key=worker.key,
-            status=status,
-            error=error,
-            attempts=worker.attempts,
-            last_stage=worker.last_stage,
-            stage_seconds=dict(worker.stage_seconds),
-        )
-        return (outcome, worker.attempts <= self.max_redispatch)
-
-    @staticmethod
-    def _kill(worker: _Inflight) -> None:
-        if worker.process.is_alive():
-            worker.process.kill()
-        worker.process.join()
-        worker.conn.close()

@@ -22,12 +22,12 @@ probe stage and quiesced before analysis; a bounded
 partial results through a :class:`CampaignReport`, and can checkpoint
 completed ASes to JSON so interrupted runs resume where they left off.
 
-It also survives an imperfect *execution* plane: per-AS tasks run
-under the supervised engine of :mod:`repro.campaign.executor`
-(``jobs=N`` bounded process pool, per-AS wall-clock deadlines, hung /
-SIGKILLed workers re-dispatched once then quarantined, SIGINT/SIGTERM
-drained gracefully), with the guarantee that report and checkpoint are
-byte-identical for any ``jobs`` value.
+It also survives an imperfect *execution* plane: per-AS tasks run on
+the lease executor of :mod:`repro.campaign.shardexec` (``jobs=N``
+persistent workers, per-AS wall-clock deadlines, hung / SIGKILLed
+workers re-dispatched once then quarantined, a failed AS's worker
+recycled, SIGINT/SIGTERM drained gracefully), with the guarantee that
+report and checkpoint are byte-identical for any ``jobs`` value.
 """
 
 from __future__ import annotations
@@ -46,12 +46,8 @@ from repro.campaign.checkpoint import (
     QuarantineStub,
 )
 from repro.campaign.dataset import TraceDataset
-from repro.campaign.executor import (
-    GracefulShutdown,
-    SupervisedExecutor,
-    TaskOutcome,
-    TaskStatus,
-)
+from repro.campaign.executor import GracefulShutdown, TaskOutcome, TaskStatus
+from repro.campaign.shardexec import LeaseExecutor, WorkerControl
 from repro.campaign.vantage_points import VantagePoint, default_vantage_points
 from repro.core.pipeline import ArestPipeline, AsAnalysis
 from repro.core.segments import DetectedSegment
@@ -374,15 +370,6 @@ class CampaignReport(Mapping):
         }
 
 
-def _quarantine_reason(outcome: TaskOutcome) -> str:
-    """Human-stable quarantine reason for a final timeout/crash outcome."""
-    if outcome.status is TaskStatus.CRASH:
-        return "crash"
-    if outcome.error and "hung" in outcome.error:
-        return "hung"
-    return "timeout"
-
-
 def result_counters(result: AsCampaignResult) -> dict[str, int]:
     """Typed telemetry counters derived from one completed AS result.
 
@@ -419,22 +406,27 @@ def result_counters(result: AsCampaignResult) -> dict[str, int]:
     return counters
 
 
-def _campaign_worker(payload: tuple, heartbeat) -> dict:
+def _campaign_worker(payload: tuple, ctl: WorkerControl) -> dict:
     """Process-pool task: rebuild the runner and run one AS.
 
-    Each worker constructs a *fresh* runner from the parent's
+    Each task constructs a *fresh* runner from the parent's
     constructor kwargs, so results are a pure function of
     ``(config, as_id)`` -- the property that makes parallel output
-    byte-identical to serial.  Stage transitions double as watchdog
+    byte-identical to serial.  Stage transitions double as lease
     heartbeats.  Telemetry recorded in-worker is buffered and shipped
-    back inside the outcome dict (see :meth:`_run_as_guarded`).
+    back inside the outcome dict (see :meth:`_run_as_guarded`).  An AS
+    that fails asks for its worker to be recycled, so whatever state
+    the failure left behind never outlives that AS.
     """
     runner_cls, kwargs, as_id, telemetry_on, traceparent = payload
     runner = runner_cls(**kwargs)
-    runner._stage_hook = heartbeat
+    runner._stage_hook = ctl.heartbeat
     runner._telemetry_on = telemetry_on
     runner._traceparent = traceparent
-    return runner._run_as_guarded(as_id)
+    message = runner._run_as_guarded(as_id)
+    if message["status"] != "ok":
+        ctl.request_recycle()
+    return message
 
 
 class CampaignRunner:
@@ -604,25 +596,26 @@ class CampaignRunner:
         resume: bool = False,
         jobs: int = 1,
         timeout_per_as: float | None = None,
-        heartbeat_timeout: float | None = None,
+        lease_timeout: float | None = None,
         telemetry_dir: str | Path | None = None,
     ) -> CampaignReport:
         """Run every requested AS (default: the 41 analyzed ones).
 
-        Execution is supervised (:mod:`repro.campaign.executor`):
+        Execution is supervised (:mod:`repro.campaign.shardexec`):
 
         - ``jobs=1`` (default) runs in-process, exactly the sequential
           loop it always was; ``jobs>1`` dispatches per-AS tasks to a
-          bounded process pool.  Results are *deterministic in jobs*:
-          the report and the banked checkpoint are byte-identical for
-          any job count, because each AS derives everything from
-          ``(seed, as_id)`` and assembly/banking follow ``as_ids``
-          order regardless of completion order.
-        - ``timeout_per_as`` bounds each AS in wall-clock seconds
-          (pool mode only); a worker past its deadline -- or silent
-          past ``heartbeat_timeout`` -- is SIGKILLed, re-dispatched
+          pool of persistent worker processes.  Results are
+          *deterministic in jobs*: the report and the banked checkpoint
+          are byte-identical for any job count, because each AS derives
+          everything from ``(seed, as_id)`` and assembly/banking follow
+          ``as_ids`` order regardless of completion order.
+        - ``timeout_per_as`` bounds each AS attempt in wall-clock
+          seconds (pool mode only); a worker past its deadline -- or
+          silent past ``lease_timeout`` -- is SIGKILLed, re-dispatched
           once, and quarantined on the second strike.  A worker killed
-          from outside (OOM, ``kill -9``) is handled the same way.
+          from outside (OOM, ``kill -9``) is handled the same way, and
+          a worker whose AS failed is replaced before the next AS.
         - SIGINT/SIGTERM drain in-flight work, flush the checkpoint
           and return a partial report with ``interrupted=True``; a
           second signal aborts hard.
@@ -670,7 +663,7 @@ class CampaignRunner:
                 resume,
                 jobs,
                 timeout_per_as,
-                heartbeat_timeout,
+                lease_timeout,
                 session,
             )
         except BaseException:
@@ -690,7 +683,7 @@ class CampaignRunner:
         resume: bool,
         jobs: int,
         timeout_per_as: float | None,
-        heartbeat_timeout: float | None,
+        lease_timeout: float | None,
         session: TelemetrySession | None,
     ) -> CampaignReport:
         """The portfolio loop proper (session lifecycle handled above)."""
@@ -713,7 +706,7 @@ class CampaignRunner:
             and as_id not in banked_quarantines
         ]
         outcomes, interrupted = self._execute(
-            to_run, store, jobs, timeout_per_as, heartbeat_timeout, session
+            to_run, store, jobs, timeout_per_as, lease_timeout, session
         )
 
         # Assemble strictly in as_ids order so the report is identical
@@ -771,7 +764,7 @@ class CampaignRunner:
         store: CampaignCheckpoint | None,
         jobs: int,
         timeout_per_as: float | None,
-        heartbeat_timeout: float | None,
+        lease_timeout: float | None,
         session: TelemetrySession | None = None,
     ) -> tuple[dict[int, TaskOutcome], bool]:
         """Run the missing ASes under supervision, banking in order.
@@ -818,8 +811,8 @@ class CampaignRunner:
         traceparent = session.traceparent() if session is not None else None
         if jobs == 1:
 
-            def task(as_id: int, heartbeat) -> dict:
-                self._stage_hook = heartbeat
+            def task(as_id: int, ctl: WorkerControl) -> dict:
+                self._stage_hook = ctl.heartbeat
                 self._telemetry_on = telemetry_on
                 self._traceparent = traceparent
                 try:
@@ -829,15 +822,10 @@ class CampaignRunner:
                     self._telemetry_on = False
                     self._traceparent = None
 
-            engine = SupervisedExecutor(task, jobs=1)
+            fn = task
             payloads = [(as_id, as_id) for as_id in to_run]
         else:
-            engine = SupervisedExecutor(
-                _campaign_worker,
-                jobs=jobs,
-                timeout=timeout_per_as,
-                heartbeat_timeout=heartbeat_timeout,
-            )
+            fn = _campaign_worker
             spawn = self._spawn_config()
             payloads = [
                 (
@@ -846,6 +834,9 @@ class CampaignRunner:
                 )
                 for as_id in to_run
             ]
+        engine = LeaseExecutor(
+            fn, jobs=jobs, lease_timeout=lease_timeout, timeout=timeout_per_as
+        )
         with GracefulShutdown() as shutdown:
             result = engine.run(
                 payloads, on_complete=on_complete, stop=shutdown
@@ -986,7 +977,7 @@ class CampaignRunner:
         else:  # TIMEOUT / CRASH past the re-dispatch budget
             report.record_quarantine(
                 as_id,
-                _quarantine_reason(outcome),
+                outcome.reason,
                 outcome.attempts,
                 outcome.error or "",
                 outcome.last_stage,
@@ -1037,7 +1028,7 @@ class CampaignRunner:
             store.record_quarantine(
                 as_id,
                 QuarantineStub(
-                    reason=_quarantine_reason(outcome),
+                    reason=outcome.reason,
                     attempts=outcome.attempts,
                     detail=outcome.error or "",
                     last_stage=outcome.last_stage,

@@ -1,49 +1,52 @@
-"""Work-stealing shard execution with lease-based crash recovery.
+"""Work-stealing task execution with lease-based crash recovery.
 
-:class:`~repro.campaign.executor.SupervisedExecutor` spawns one fresh
-process per task -- the right call for 41 heavyweight per-AS tasks, and
-exactly the wrong one for tens of thousands of small shards, where
-process spawn would dominate wall clock.  This module keeps a fixed
-pool of **persistent workers** that *pull* work: a worker that finishes
-early immediately claims the next pending shard, so fast workers steal
-the queue out from under slow ones and the pool drains at the speed of
-its healthiest members (self-scheduling pull is work stealing with one
-shared deque).
+The one campaign executor: ``arest portfolio`` runs one task per AS on
+it and ``arest scale-campaign`` one task per ``(as_id, vp_bucket)``
+shard.  A fixed pool of **persistent workers** *pulls* work: a worker
+that finishes early immediately claims the next pending task, so fast
+workers steal the queue out from under slow ones and the pool drains
+at the speed of its healthiest members (self-scheduling pull is work
+stealing with one shared deque).  Spawn cost is paid per worker, not
+per task.
 
 Persistence raises the stakes on failure -- a wedged worker now blocks
-a whole stream of shards, not one task -- so every claim carries a
-**lease**:
+a whole stream of tasks, not one -- so every claim carries a **lease**
+and, optionally, a hard **deadline**:
 
-- granting a shard to a worker starts a lease of ``lease_timeout``
+- granting a task to a worker starts a lease of ``lease_timeout``
   seconds; every message from the worker (stage heartbeats, results)
-  renews it;
-- a worker whose lease expires is presumed lost: it is SIGKILLed, a
-  replacement is spawned, and the shard returns to the queue;
-- likewise a worker that dies outright (OOM kill, segfault,
-  ``kill -9``) -- detected by its corpse -- has its in-flight shard
-  re-queued;
-- re-dispatch is bounded (``max_redispatch``); a shard that keeps
+  renews it.  A worker whose lease expires has gone silent (``hung``);
+- ``timeout`` bounds each attempt in wall-clock seconds from the grant,
+  heartbeats or not, so a slow multi-stage task that keeps renewing
+  its lease still ends (``timeout``);
+- either breach SIGKILLs the worker, spawns a replacement on the next
+  grant and returns the task to the queue; a worker that dies outright
+  (OOM kill, segfault, ``kill -9``) -- detected by its corpse -- has
+  its in-flight task re-queued the same way (``crash``);
+- re-dispatch is bounded (``max_redispatch``); a task that keeps
   killing workers is quarantined instead of poisoning the pool
   forever.
 
-Workers can also ask to be **recycled** (the RSS watchdog's graceful
-degradation): the request is honoured *between* shards -- the worker
-finishes its current shard, delivers the result, and exits cleanly;
-the supervisor spawns a fresh process for the next claim.  Memory
-pressure therefore throttles admission without ever interrupting a
-write.
+Workers can also ask to be **recycled**: the request is honoured
+*between* tasks -- the worker finishes its current task, delivers the
+result, and exits cleanly; the supervisor spawns a fresh process for
+the next claim.  The RSS watchdog uses it to throttle admission under
+memory pressure without interrupting a write, and the portfolio uses
+it after an AS fails, so a failed AS's interpreter never serves the
+next AS.  A task function that raises takes its process down with it.
 
-Determinism: like the supervised engine, this executor imposes no
-ordering -- outcomes are keyed, and callers that assemble results in
-plan order get byte-identical output for any ``jobs`` value, because
-each shard is itself a pure function of the campaign config.
-``jobs=1`` runs every shard in-process with no subprocess, no pickling
-and no leases: exactly a plain loop.
+Determinism: this executor imposes no ordering -- outcomes are keyed,
+and callers that assemble results in plan order get byte-identical
+output for any ``jobs`` value, because each task is itself a pure
+function of the campaign config.  ``jobs=1`` runs every task
+in-process with no subprocess, no pickling, no leases and no
+deadlines: exactly a plain loop.
 """
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import os
 import signal
 import time
@@ -54,21 +57,20 @@ from typing import Any, Callable, Sequence
 from repro.campaign.executor import (
     ExecutionResult,
     Quarantine,
-    SupervisedExecutor,
     TaskOutcome,
     TaskStatus,
 )
 
 logger = logging.getLogger(__name__)
 
-#: shard callable: ``fn(payload, ctl)`` with ``ctl.heartbeat(note)`` for
+#: task callable: ``fn(payload, ctl)`` with ``ctl.heartbeat(note)`` for
 #: liveness/lease renewal and ``ctl.request_recycle()`` for a graceful
-#: between-shards process replacement
+#: between-tasks process replacement
 ShardFn = Callable[[Any, "WorkerControl"], Any]
 
 
 class WorkerControl:
-    """The worker-side handle a shard function talks to."""
+    """The worker-side handle a task function talks to."""
 
     __slots__ = ("_send", "recycle_requested", "stages")
 
@@ -85,17 +87,17 @@ class WorkerControl:
             self._send(("hb", note))
 
     def request_recycle(self) -> None:
-        """Ask for a fresh process after the current shard completes."""
+        """Ask for a fresh process after the current task completes."""
         self.recycle_requested = True
 
 
 def _worker_entry(fn: ShardFn, conn: Connection) -> None:
-    """Persistent worker loop: pull a shard, run it, report, repeat.
+    """Persistent worker loop: pull a task, run it, report, repeat.
 
     SIGINT is ignored (the supervisor handles Ctrl-C and drains).  A
-    raising shard function is reported then the process exits -- a
-    fresh interpreter replaces it, so one shard's wreckage cannot leak
-    into the next shard's run.  A recycle request exits cleanly after
+    raising task function is reported then the process exits -- a
+    fresh interpreter replaces it, so one task's wreckage cannot leak
+    into the next task's run.  A recycle request exits cleanly after
     the result is delivered.
     """
     try:
@@ -128,7 +130,7 @@ def _worker_entry(fn: ShardFn, conn: Connection) -> None:
 
 @dataclass(slots=True)
 class _Assignment:
-    """One leased shard in flight on one worker."""
+    """One leased task in flight on one worker."""
 
     key: Any
     payload: Any
@@ -164,25 +166,30 @@ def _close_stage(assignment: _Assignment, now: float) -> None:
 
 
 class LeaseExecutor:
-    """Run keyed shards on a pool of persistent, leased workers.
+    """Run keyed tasks on a pool of persistent, leased workers.
 
     Parameters
     ----------
     fn:
-        The shard function, ``fn(payload, ctl) -> value``.  With
+        The task function, ``fn(payload, ctl) -> value``.  With
         ``jobs > 1`` it must be picklable and runs in long-lived
-        subprocesses, one shard at a time per process.
+        subprocesses, one task at a time per process.
     jobs:
         Worker pool size.  ``1`` selects the in-process path: plain
-        sequential loop, no leases, no subprocesses.
+        sequential loop, no leases, no deadlines, no subprocesses.
     lease_timeout:
         Seconds of worker silence after which its claim is presumed
-        lost and re-dispatched (``None`` disables lease expiry;
-        worker *death* is still detected and recovered).
+        lost (``hung``) and re-dispatched (``None`` disables lease
+        expiry; worker *death* is still detected and recovered).
+    timeout:
+        Hard per-attempt wall-clock deadline in seconds from the grant
+        (``None`` = unbounded).  Heartbeats do not extend it.
     watch_interval:
-        Supervisor poll cadence in seconds.
+        Supervisor poll cadence in seconds; silent, late and dead
+        workers are detected within roughly one interval.
     max_redispatch:
-        Re-dispatch budget per shard before quarantine (default 1).
+        Re-dispatch budget per task before quarantine (default 1: one
+        second chance, then the circuit breaker opens).
     """
 
     def __init__(
@@ -190,6 +197,7 @@ class LeaseExecutor:
         fn: ShardFn,
         jobs: int = 1,
         lease_timeout: float | None = None,
+        timeout: float | None = None,
         watch_interval: float = 0.05,
         max_redispatch: int = 1,
     ) -> None:
@@ -197,6 +205,8 @@ class LeaseExecutor:
             raise ValueError("jobs must be >= 1")
         if lease_timeout is not None and lease_timeout <= 0:
             raise ValueError("lease_timeout must be positive")
+        if timeout is not None and timeout <= 0:
+            raise ValueError("timeout must be positive")
         if watch_interval <= 0:
             raise ValueError("watch_interval must be positive")
         if max_redispatch < 0:
@@ -204,6 +214,7 @@ class LeaseExecutor:
         self.fn = fn
         self.jobs = jobs
         self.lease_timeout = lease_timeout
+        self.timeout = timeout
         self.watch_interval = watch_interval
         self.max_redispatch = max_redispatch
         #: observational execution tallies (telemetry only -- results
@@ -229,10 +240,11 @@ class LeaseExecutor:
     ) -> ExecutionResult:
         """Drain ``tasks`` (``(key, payload)`` pairs) through the pool.
 
-        ``on_complete`` fires once per shard in completion order with
-        its final outcome.  ``stop`` is polled between grants; once
-        true no new shard is leased, in-flight shards drain (leases
-        still enforced) and the result is marked interrupted.
+        ``on_complete`` fires once per task in completion order with
+        its final outcome (after any re-dispatch).  ``stop`` is polled
+        between grants; once true no new task is leased, in-flight
+        tasks drain (leases and deadlines still enforced) and the
+        result is marked interrupted.
         """
         keys = [key for key, _ in tasks]
         if len(set(keys)) != len(keys):
@@ -260,7 +272,7 @@ class LeaseExecutor:
             except KeyboardInterrupt:
                 result.interrupted = True
                 break
-            except Exception as exc:  # noqa: BLE001 -- per-shard isolation
+            except Exception as exc:  # noqa: BLE001 -- per-task isolation
                 outcome = TaskOutcome(
                     key=key,
                     status=TaskStatus.ERROR,
@@ -298,7 +310,12 @@ class LeaseExecutor:
         on_complete: Callable[[TaskOutcome], None] | None,
         stop: Callable[[], bool] | None,
     ) -> ExecutionResult:
-        ctx = SupervisedExecutor._mp_context()
+        # Fork where available (cheap, inherits imports), else spawn.
+        ctx = multiprocessing.get_context(
+            "fork"
+            if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
         result = ExecutionResult()
         pending: list[tuple[Any, Any, int]] = [
             (key, payload, 1) for key, payload in tasks
@@ -314,17 +331,17 @@ class LeaseExecutor:
         def fail_or_requeue(
             assignment: _Assignment, reason: str, detail: str, now: float
         ) -> None:
-            """A lease expiry or worker death: steal back the shard."""
+            """A deadline, lease expiry or worker death: steal back the
+            task, or quarantine it past the re-dispatch budget."""
             _close_stage(assignment, now)
             if stopping:
                 return  # interrupted run: resume will re-attempt
             if assignment.attempts <= self.max_redispatch:
                 self.stats["shards_redispatched"] += 1
                 logger.warning(
-                    "shard %r %s after %.1fs (attempt %d); re-queueing",
+                    "task %r: %s (attempt %d); re-dispatching",
                     assignment.key,
-                    reason,
-                    now - assignment.started,
+                    detail,
                     assignment.attempts,
                 )
                 pending.append(
@@ -332,25 +349,24 @@ class LeaseExecutor:
                 )
                 return
             self.stats["shards_quarantined"] += 1
-            status = (
-                TaskStatus.CRASH if reason == "crashed" else TaskStatus.TIMEOUT
-            )
+            crashed = reason == "crash"
             outcome = TaskOutcome(
                 key=assignment.key,
-                status=status,
+                status=TaskStatus.CRASH if crashed else TaskStatus.TIMEOUT,
                 error=detail,
+                reason=reason,
                 attempts=assignment.attempts,
                 last_stage=assignment.last_stage,
                 stage_seconds=dict(assignment.stage_seconds),
             )
             result.quarantined[assignment.key] = Quarantine(
                 key=assignment.key,
-                reason="crash" if status is TaskStatus.CRASH else "lease-expired",
+                reason=reason,
                 attempts=assignment.attempts,
                 detail=detail,
             )
             logger.warning(
-                "shard %r quarantined after %d attempt(s): %s",
+                "task %r quarantined after %d attempt(s): %s",
                 assignment.key,
                 assignment.attempts,
                 detail,
@@ -365,7 +381,7 @@ class LeaseExecutor:
                     stopping = True
                     result.interrupted = True
                     pending.clear()
-                # Grant: every idle slot pulls the next pending shard.
+                # Grant: every idle slot pulls the next pending task.
                 for slot in range(self.jobs):
                     if not pending:
                         break
@@ -388,7 +404,7 @@ class LeaseExecutor:
                     try:
                         worker.conn.send(("task", payload))
                     except (OSError, BrokenPipeError):
-                        pass  # corpse detected below, shard re-queued
+                        pass  # corpse detected below, task re-queued
                 self._pump(pool)
                 now = time.monotonic()
                 for slot in range(self.jobs):
@@ -397,6 +413,8 @@ class LeaseExecutor:
                         continue
                     assignment = worker.assignment
                     if assignment.message is not None:
+                        # A delivered answer settles the task even when
+                        # it landed past the deadline.
                         kind = assignment.message[0]
                         if kind == "res":
                             _, value, recycle = assignment.message
@@ -432,7 +450,7 @@ class LeaseExecutor:
                             pool[slot] = None
                         continue
                     if not worker.process.is_alive():
-                        # Died mid-shard: drain any final message first
+                        # Died mid-task: drain any final message first
                         # so a delivered result is never read as a crash.
                         self._drain(worker, now)
                         if worker.assignment.message is not None:
@@ -445,23 +463,35 @@ class LeaseExecutor:
                         )
                         self._retire(worker)
                         pool[slot] = None
-                        fail_or_requeue(assignment, "crashed", detail, now)
+                        fail_or_requeue(assignment, "crash", detail, now)
                         continue
+                    stage = assignment.last_stage or "unknown"
                     if (
+                        self.timeout is not None
+                        and now - assignment.started > self.timeout
+                    ):
+                        reason = "timeout"
+                        detail = (
+                            f"worker exceeded its deadline after "
+                            f"{now - assignment.started:.1f}s in stage {stage}"
+                        )
+                    elif (
                         self.lease_timeout is not None
                         and now - assignment.last_beat > self.lease_timeout
                     ):
                         self.stats["leases_expired"] += 1
+                        reason = "hung"
                         detail = (
                             f"lease expired after "
                             f"{now - assignment.last_beat:.1f}s of silence "
-                            f"in stage {assignment.last_stage or 'unknown'}"
+                            f"in stage {stage}"
                         )
-                        self._kill(worker)
-                        pool[slot] = None
-                        fail_or_requeue(
-                            assignment, "lost its lease", detail, now
-                        )
+                    else:
+                        continue
+                    # Deadline or lease breach: contain with SIGKILL.
+                    self._kill(worker)
+                    pool[slot] = None
+                    fail_or_requeue(assignment, reason, detail, now)
         finally:
             for worker in pool:
                 if worker is None:

@@ -41,7 +41,7 @@ def _positive_float(text: str) -> float:
 
 
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
-    """Supervised-engine knobs shared by campaign-running commands."""
+    """Executor knobs shared by campaign-running commands."""
     parser.add_argument(
         "--jobs",
         type=_positive_int,
@@ -409,15 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
             "in one columnar pass over the dataset"
         ),
     )
-    detect.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help=(
-            "run the summary on the object-path reference detector "
-            "instead of the columnar batch core (slow; the two are "
-            "byte-identical by the differential contract)"
-        ),
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -721,9 +712,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.core.columnar import ColumnarDetector, TraceBatch
 
     # Streaming end to end: the header read is constant-cost and the
-    # body flows through bounded columnar chunks (or, on the reference
-    # path, one trace at a time), so paper-scale spill files analyze
-    # in bounded memory.
+    # body flows through bounded columnar chunks, so paper-scale spill
+    # files analyze in bounded memory.
     header = TraceDataset.read_header(args.dataset)
     if args.segments_json:
         from repro.service.state import batch_aggregate
@@ -751,25 +741,14 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     counts: Counter = Counter()
     seen = set()
     total = 0
-    if args.no_columnar:
-        from repro.core.detector import ArestDetector
-
-        reference = ArestDetector()
-        for trace in TraceDataset.iter_jsonl(args.dataset):
-            total += 1
-            for segment in reference.detect(trace, {}):
+    detector = ColumnarDetector()
+    for batch in TraceBatch.iter_jsonl(args.dataset):
+        total += len(batch)
+        for segments in detector.detect_batch(batch):
+            for segment in segments:
                 if segment.key() not in seen:
                     seen.add(segment.key())
                     counts[segment.flag] += 1
-    else:
-        detector = ColumnarDetector()
-        for batch in TraceBatch.iter_jsonl(args.dataset):
-            total += len(batch)
-            for segments in detector.detect_batch(batch):
-                for segment in segments:
-                    if segment.key() not in seen:
-                        seen.add(segment.key())
-                        counts[segment.flag] += 1
     print(
         f"{total} traces toward AS{header.target_asn}, "
         f"{len(seen)} distinct segments"

@@ -291,20 +291,17 @@ class ArestPipeline:
     (:class:`~repro.core.columnar.ColumnarDetector`): each trace is a
     one-row column batch, so the pipeline's object API -- and every
     caller built on it, including the streaming service -- rides the
-    same array passes the whole-campaign batch path uses.  Pass
-    ``columnar=False`` (or an explicit :class:`ArestDetector`) for the
-    object-path reference; the two are byte-identical by the
-    differential contract, so the switch only moves the cost model.
+    same array passes the whole-campaign batch path uses.  Pass an
+    explicit :class:`ArestDetector` for the object-path reference; the
+    two are byte-identical by the differential contract, so the choice
+    only moves the cost model.
     """
 
     def __init__(
-        self,
-        detector: ArestDetector | ColumnarDetector | None = None,
-        *,
-        columnar: bool = True,
+        self, detector: ArestDetector | ColumnarDetector | None = None
     ) -> None:
         if detector is None:
-            detector = ColumnarDetector() if columnar else ArestDetector()
+            detector = ColumnarDetector()
         self._detector = detector
 
     def accumulator(

@@ -25,7 +25,7 @@ Two implementations share one duck-typed surface:
 Recorders are cheap, single-threaded, and scoped to one unit of work
 (one AS task, typically).  :meth:`Telemetry.export` snapshots the
 buffers into a plain JSON-able dict that survives a trip through the
-supervised executor's outcome pipe, and :func:`merge_counters` folds
+lease executor's outcome pipe, and :func:`merge_counters` folds
 counter dicts together -- plain addition, so aggregation is
 order-independent by construction (serial, parallel and resumed runs
 produce identical totals).

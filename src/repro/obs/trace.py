@@ -2,9 +2,9 @@
 
 One campaign is one trace.  The supervisor mints a W3C-traceparent-style
 :class:`TraceContext` (``trace_id`` / ``span_id``) when its telemetry
-session starts; the context rides every task envelope -- the supervised
-executor's payload tuples, the lease executor's duplex-pipe messages,
-the service's worker-pool recorder -- so every span any process records
+session starts; the context rides every task envelope -- the payload
+tuples the lease executor ships over its duplex pipes, the service's
+worker-pool recorder -- so every span any process records
 lands in ``telemetry.jsonl`` tagged with the one campaign-wide trace id
 and parented under the supervisor's root span.
 

@@ -2,8 +2,9 @@
 
 For any portfolio and any ``jobs`` setting, the canonical report JSON
 and the checkpoint bytes must be identical to the serial run.  This is
-the acceptance criterion for the supervised executor: concurrency is
-purely an execution-plane concern.
+the acceptance criterion for running the portfolio on the lease
+executor's persistent worker pool: concurrency is purely an
+execution-plane concern.
 """
 
 import json
@@ -24,7 +25,7 @@ _AS_POOL = (7, 15, 27, 31, 46, 59, 9999)
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="fork start method required for the supervised pool",
+    reason="fork start method required for the worker pool",
 )
 
 _serial_cache: dict[tuple, tuple[str, bytes]] = {}

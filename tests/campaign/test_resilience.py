@@ -205,7 +205,7 @@ class TestCheckpointSalvage:
                 == uninterrupted[as_id].analysis.flag_counts()
             )
 
-    def test_legacy_v1_checkpoint_still_loads(self, tmp_path):
+    def test_legacy_v1_checkpoint_is_rejected(self, tmp_path):
         path = tmp_path / "campaign.ckpt.json"
         self._bank_two(path)
         lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -215,12 +215,37 @@ class TestCheckpointSalvage:
             str(e["as_id"]): e["entry"] for e in entries
         }
         path.write_text(json.dumps(v1))
+        before = path.read_bytes()
 
-        loaded = CampaignCheckpoint(path, _runner()._config_signature()).load()
-        assert sorted(loaded) == [27, 46]
-        # And the file was upgraded to current JSONL in place.
-        first = json.loads(path.read_text().splitlines()[0])
-        assert first["version"] == 3
+        store = CampaignCheckpoint(path, _runner()._config_signature())
+        with pytest.raises(ValueError, match="version 1"):
+            store.load()
+        assert path.read_bytes() == before  # never rewritten
+
+    @pytest.mark.parametrize("version", [None, 4, "3"])
+    def test_unknown_checkpoint_version_is_rejected(self, tmp_path, version):
+        path = tmp_path / "campaign.ckpt.json"
+        self._bank_two(path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        if version is None:
+            del header["version"]
+        else:
+            header["version"] = version
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        store = CampaignCheckpoint(path, _runner()._config_signature())
+        with pytest.raises(ValueError, match=f"version {version!r}"):
+            store.load()
+
+    def test_header_carrying_completed_is_rejected(self, tmp_path):
+        path = tmp_path / "campaign.ckpt.json"
+        self._bank_two(path)
+        lines = path.read_text().splitlines()
+        header = dict(json.loads(lines[0]), completed={})
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        store = CampaignCheckpoint(path, _runner()._config_signature())
+        with pytest.raises(ValueError, match="version 3"):
+            store.load()
 
     def test_empty_file_is_rejected(self, tmp_path):
         path = tmp_path / "empty.json"

@@ -175,8 +175,8 @@ class TestPipelineParity:
     ):
         traces = [build_trace(s) for s in specs]
         analyses = []
-        for columnar in (True, False):
-            pipeline = ArestPipeline(columnar=columnar)
+        object_path = ArestPipeline(detector=ArestDetector())
+        for pipeline in (ArestPipeline(), object_path):
             analyses.append(
                 pipeline.analyze_as(100, traces, fingerprints)
             )
@@ -199,10 +199,9 @@ class TestPipelineParity:
             ]
         )
         traces = [conflicting, conflicting]
-        for columnar in (True, False):
-            analysis = ArestPipeline(columnar=columnar).analyze_as(
-                100, traces, {}
-            )
+        object_path = ArestPipeline(detector=ArestDetector())
+        for pipeline in (ArestPipeline(), object_path):
+            analysis = pipeline.analyze_as(100, traces, {})
             assert analysis.traces_total == 2
             assert analysis.traces_quarantined == 2
             assert analysis.traces_analyzed == 0
