@@ -12,7 +12,7 @@ import gc
 import json
 import time
 
-from repro.core.columnar import ColumnarDetector, TraceBatch
+from repro.core.columnar import ColumnarDetector
 from repro.core.detector import ArestDetector
 from repro.core.labels import _suffix_match_default
 from repro.core.vendor_ranges import ranges_for_fingerprint
@@ -23,9 +23,12 @@ from benchmarks.conftest import emit
 
 BENCH_FILENAME = "BENCH_detector.json"
 
-#: CI regression gate: the columnar batch passes must stay at least
+#: CI regression gate: the per-trace columnar kernel must stay at least
 #: this many times faster than the object path measured in-process
-MIN_COLUMNAR_SPEEDUP = 5.0
+MIN_COLUMNAR_SPEEDUP = 1.5
+
+#: paired columnar/object rounds; the speedup is the median round ratio
+_COLUMNAR_ROUNDS = 9
 
 
 def _trace_corpus(portfolio_results, copies: int = 3):
@@ -159,13 +162,12 @@ def test_bench_detector_throughput(benchmark, portfolio_results):
         (seq_ratios[1] - 1) * 100, 1
     )
 
-    # -- columnar batch path ----------------------------------------------
-    # Build once, detect many: the archived-campaign re-detection shape
-    # (OPERATIONS.md).  Build throughput is reported separately so the
-    # ops_per_sec numbers compare pure detection work on both paths.
-    tick = time.perf_counter()
-    batch = TraceBatch.from_pairs(corpus)
-    build_s = time.perf_counter() - tick
+    # -- columnar kernel ---------------------------------------------------
+    # The per-trace kernel every caller uses (pipeline, service, ``arest
+    # detect``), timed against the object path in paired rounds.  Leg
+    # order alternates per round so a monotonic clock drift favours
+    # neither leg; the speedup is the median round ratio and each leg's
+    # best round gives its absolute throughput.
     columnar = ColumnarDetector()
     # the differential contract, enforced on the bench corpus itself:
     # the speedup below is only meaningful for byte-identical output
@@ -173,28 +175,44 @@ def test_bench_detector_throughput(benchmark, portfolio_results):
         detector.detect(trace, fingerprints)
         for trace, fingerprints in corpus
     ]
-    assert columnar.detect_batch(batch) == reference
-    batch_s: list[float] = []
-    for _ in range(5):
-        gc.disable()
+    assert [ColumnarDetector().detect(t, f) for t, f in corpus] == reference
+
+    def detect_all_columnar() -> int:
+        segments = 0
+        for trace, fingerprints in corpus:
+            segments += len(columnar.detect(trace, fingerprints))
+        return segments
+
+    def timed(leg) -> float:
         tick = time.perf_counter()
-        detections = columnar.detect_batch(batch)
-        batch_s.append(time.perf_counter() - tick)
+        leg()
+        return time.perf_counter() - tick
+
+    detect_all_columnar()  # warm the columnar leg's code path once
+    object_s: list[float] = []
+    columnar_s: list[float] = []
+    for round_index in range(_COLUMNAR_ROUNDS):
+        gc.disable()
+        if round_index % 2 == 0:
+            object_s.append(timed(detect_all))
+            columnar_s.append(timed(detect_all_columnar))
+        else:
+            columnar_s.append(timed(detect_all_columnar))
+            object_s.append(timed(detect_all))
         gc.enable()
-    columnar_ops = len(corpus) / min(batch_s)
-    object_ops = len(corpus) / min(cached_s)
-    payload["columnar_ops_per_sec"] = round(columnar_ops, 1)
-    payload["columnar_build_traces_per_sec"] = round(
-        len(corpus) / build_s, 1
+    round_ratios = sorted(o / c for o, c in zip(object_s, columnar_s))
+    columnar_ops = len(corpus) / min(columnar_s)
+    payload["columnar_detect_ops_per_sec"] = round(columnar_ops, 1)
+    payload["columnar_detect_speedup"] = round(
+        round_ratios[len(round_ratios) // 2], 2
     )
-    payload["columnar_speedup"] = round(columnar_ops / object_ops, 2)
     emit(
-        f"columnar: {columnar_ops:,.0f} traces/s over built batch "
-        f"({payload['columnar_speedup']}x object path; build "
-        f"{len(corpus) / build_s:,.0f} traces/s)"
+        f"columnar: {columnar_ops:,.0f} traces/s per-trace detect "
+        f"({payload['columnar_detect_speedup']}x object path, median of "
+        f"{_COLUMNAR_ROUNDS} paired rounds; "
+        f"{round_ratios[0]:.2f}-{round_ratios[-1]:.2f})"
     )
-    assert sum(len(d) for d in detections) == segments
-    assert payload["columnar_speedup"] >= MIN_COLUMNAR_SPEEDUP
+    assert payload["columnar_detect_speedup"] >= MIN_COLUMNAR_SPEEDUP
 
     atomic_write_text(
         BENCH_FILENAME, json.dumps(payload, indent=2, sort_keys=True) + "\n"

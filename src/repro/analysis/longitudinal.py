@@ -190,19 +190,17 @@ def re_detect_adoption(
     archives_by_year: Mapping[int, Iterable],
     fingerprints: Mapping | None = None,
     detector=None,
-    chunk: int = 4096,
 ) -> list[ReDetectionSnapshot]:
     """Adoption curve from *archived* JSONL datasets -- no re-probing.
 
     The longitudinal question the tracker answers by re-running
     campaigns can also be asked of data already on disk: given each
     year's ``dump_jsonl`` archives, which target ASes show strong SR
-    evidence?  This streams every archive through the sanitizer into
-    bounded columnar chunks and runs
-    :meth:`~repro.core.columnar.ColumnarDetector.detect_batch` with the
-    archive header's ``target_asn`` ownership mask -- the fast
-    re-detection path (see OPERATIONS.md), so decade-scale archives
-    re-analyze in one sitting.
+    evidence?  This streams every archive through the sanitizer and
+    runs :meth:`~repro.core.columnar.ColumnarDetector.detect` on each
+    trace, restricted to the hops the archive header's ``target_asn``
+    owns -- the fast re-detection path (see OPERATIONS.md), so
+    decade-scale archives re-analyze in one sitting.
 
     ``fingerprints`` is an optional address->fingerprint mapping applied
     to every archive (a merged fingerprint DB); without it detection
@@ -211,12 +209,13 @@ def re_detect_adoption(
     """
     from repro.campaign.dataset import TraceDataset
     from repro.core.columnar import ColumnarDetector
+    from repro.core.detector import as_lookup
     from repro.core.flags import STRONG_FLAGS
     from repro.probing.sanitize import TraceSanitizer
 
     if detector is None:
         detector = ColumnarDetector()
-    fingerprints = fingerprints or {}
+    lookup = as_lookup(fingerprints)
     sanitizer = TraceSanitizer()
     snapshots = []
     for year in sorted(archives_by_year):
@@ -227,27 +226,25 @@ def re_detect_adoption(
             datasets += 1
             asn = TraceDataset.read_header(path).target_asn
             ases_analyzed.add(asn)
-
-            def sanitized():
-                for raw in TraceDataset.iter_jsonl(path):
-                    cleaned = sanitizer.sanitize(raw)
-                    if cleaned.trace is not None:
-                        yield cleaned.trace
-
-            pending: list = []
-            for trace in sanitized():
+            for raw in TraceDataset.iter_jsonl(path):
+                trace = sanitizer.sanitize(raw).trace
+                if trace is None:
+                    continue
                 traces += 1
-                pending.append(trace)
-                if len(pending) >= chunk:
-                    if asn not in ases_with and _chunk_has_strong(
-                        detector, pending, fingerprints, asn, STRONG_FLAGS
-                    ):
-                        ases_with.add(asn)
-                    pending = []
-            if pending and asn not in ases_with and _chunk_has_strong(
-                detector, pending, fingerprints, asn, STRONG_FLAGS
-            ):
-                ases_with.add(asn)
+                if asn in ases_with:
+                    continue
+                in_as = {
+                    i
+                    for i, hop in enumerate(trace.hops)
+                    if hop.truth_asn == asn
+                }
+                if any(
+                    segment.flag in STRONG_FLAGS
+                    for segment in detector.detect(
+                        trace, lookup, hop_mask=in_as
+                    )
+                ):
+                    ases_with.add(asn)
         snapshots.append(
             ReDetectionSnapshot(
                 year=year,
@@ -258,14 +255,3 @@ def re_detect_adoption(
             )
         )
     return snapshots
-
-
-def _chunk_has_strong(detector, traces, fingerprints, asn, strong) -> bool:
-    from repro.core.columnar import TraceBatch
-
-    batch = TraceBatch.from_traces(traces, fingerprints)
-    return any(
-        segment.flag in strong
-        for segments in detector.detect_batch(batch, asn=asn)
-        for segment in segments
-    )

@@ -274,9 +274,8 @@ def _fingerprint_section(results) -> list[str]:
 def _vendor_breakdown_section(results) -> list[str]:
     """Per-vendor segment/flag tallies (Table 1 evidence applied).
 
-    Computed from the columnar batch over the segments the campaign
-    already detected; rendered only when any segment exists, so empty
-    campaigns are unchanged.
+    Computed over the segments the campaign already detected; rendered
+    only when any segment exists, so empty campaigns are unchanged.
     """
     from repro.analysis.vendor_breakdown import campaign_vendor_breakdown
 

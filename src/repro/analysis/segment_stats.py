@@ -83,57 +83,6 @@ def segment_length_rows(
     return rows
 
 
-def batch_segment_length_rows(
-    results: Mapping[int, AsCampaignResult],
-    detector=None,
-) -> list[SegmentLengthRow]:
-    """Columnar variant of :func:`segment_length_rows`.
-
-    Rebuilds each AS's column batch once and re-runs detection as
-    whole-batch array passes with the AS-ownership mask
-    (``detect_batch(batch, asn=...)``), instead of walking the stored
-    per-trace segment lists.  Produces identical rows -- the columnar
-    differential contract guarantees the segments match -- so this is
-    the template for re-computing length statistics over *archived*
-    campaigns where only the traces survive.
-    """
-    from repro.core.columnar import ColumnarDetector, TraceBatch
-
-    if detector is None:
-        detector = ColumnarDetector()
-    rows = []
-    for as_id in sorted(results):
-        result = results[as_id]
-        counts: Counter = Counter()
-        seen: set = set()
-        if result.trace_segments:
-            fingerprints = result.fingerprints
-            batch = TraceBatch.from_pairs(
-                (trace, fingerprints)
-                for trace, _segments in result.trace_segments
-            )
-            # result.analysis.asn is the real target ASN (the portfolio
-            # key is just an index); the ownership mask must use it
-            for segments in detector.detect_batch(
-                batch, asn=result.analysis.asn
-            ):
-                for segment in segments:
-                    if segment.flag not in SEQUENCE_FLAGS:
-                        continue
-                    if segment.key() in seen:
-                        continue
-                    seen.add(segment.key())
-                    counts[segment.length] += 1
-        rows.append(
-            SegmentLengthRow(
-                as_id=as_id,
-                name=result.spec.name,
-                length_counts=tuple(sorted(counts.items())),
-            )
-        )
-    return rows
-
-
 def portfolio_expected_false_positives(
     rows: list[SegmentLengthRow],
 ) -> float:

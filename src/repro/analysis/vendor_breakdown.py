@@ -1,11 +1,10 @@
-"""Per-vendor segment and flag breakdown over columnar batches.
+"""Per-vendor segment and flag breakdown over detected segments.
 
 Which vendor's gear is behind each detected segment?  The paper's
 Table 1 ranges and Sec. 5 fingerprints answer per hop; this module
-rolls the evidence up per *segment* and tallies flags per vendor, in
-one pass over a :class:`~repro.core.columnar.TraceBatch` -- the
-``arest detect --vendor-breakdown`` view and the campaign report's
-vendor section.
+rolls the evidence up per *segment* and tallies flags per vendor, one
+trace at a time -- the ``arest detect --vendor-breakdown`` view and
+the campaign report's vendor section.
 
 Attribution ladder (strongest evidence wins):
 
@@ -17,8 +16,8 @@ Attribution ladder (strongest evidence wins):
    ranges overlap, so this is a vendor *class*, not an identification);
 4. else ``unattributed``.
 
-The accumulator merges across streamed batches
-(:meth:`~repro.core.columnar.TraceBatch.iter_jsonl` chunks), so
+The accumulator folds traces as they stream past
+(:meth:`~repro.campaign.dataset.TraceDataset.iter_jsonl`), so
 paper-scale archives break down in bounded memory.
 """
 
@@ -27,10 +26,12 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping
 
-from repro.core.columnar import ColumnarDetector, TraceBatch
+from repro.core.columnar import ColumnarDetector
+from repro.core.detector import FingerprintLookup, as_lookup
 from repro.core.flags import Flag
 from repro.core.segments import DetectedSegment
-from repro.core.vendor_ranges import TABLE1_RANGES
+from repro.core.vendor_ranges import TABLE1_RANGES, label_in_vendor_range
+from repro.fingerprint.records import Fingerprint, FingerprintMethod
 
 #: attribution bucket when no fingerprint or range evidence exists
 UNATTRIBUTED = "unattributed"
@@ -39,24 +40,29 @@ UNATTRIBUTED = "unattributed"
 RANGE_PREFIX = "range:"
 
 
+def _vendor_token(fp: Fingerprint) -> str:
+    """The fingerprint's vendor evidence ("" when it names none)."""
+    if fp.method is FingerprintMethod.NONE:
+        return ""
+    if fp.exact_vendor is not None:
+        return fp.exact_vendor.value
+    return "|".join(sorted(v.value for v in fp.vendor_class))
+
+
 def attribute_vendor(
-    batch: TraceBatch, base: int, segment: DetectedSegment
+    segment: DetectedSegment, lookup: FingerprintLookup
 ) -> str:
     """Vendor token for one segment (see the module attribution ladder).
 
-    ``base`` is the segment's trace's hop offset into the batch columns
-    (``batch.offsets[k]``).
+    ``lookup`` resolves each segment hop's address to its fingerprint;
+    the in-range test uses that hop's top label.
     """
-    vendor_id = batch.vendor_id
-    vendor_names = batch.vendor_names
-    in_range = batch.in_range
     first_fingerprinted = ""
-    for hop_index in segment.hop_indices:
-        g = base + hop_index
-        vid = vendor_id[g]
-        if vid:
-            name = vendor_names[vid]
-            if in_range[g]:
+    for address, label in zip(segment.addresses, segment.top_labels):
+        fp = lookup(address)
+        name = _vendor_token(fp)
+        if name:
+            if label_in_vendor_range(label, fp):
                 return name  # the confirming hop
             if not first_fingerprinted:
                 first_fingerprinted = name
@@ -74,12 +80,11 @@ def attribute_vendor(
 
 
 class VendorBreakdownAccumulator:
-    """Streaming per-vendor flag tally over columnar detections.
+    """Streaming per-vendor flag tally, fed one trace at a time.
 
-    Feed (batch, detections) chunk pairs as they come off
-    :meth:`TraceBatch.iter_jsonl` + :meth:`ColumnarDetector.detect_batch`;
-    the document merges identically regardless of chunking (distinct
-    segments deduplicate on ``(vendor, segment.key())`` across chunks).
+    Feed each trace's detected segments with the fingerprint lookup they
+    were detected under; any order of the fed traces gives the same document
+    (distinct segments deduplicate on ``(vendor, segment.key())``).
     """
 
     def __init__(self) -> None:
@@ -91,32 +96,21 @@ class VendorBreakdownAccumulator:
         self._distinct_counts: Counter = Counter()
         self._seen: set = set()
 
-    def feed_batch(
-        self,
-        batch: TraceBatch,
-        detections: list[list[DetectedSegment]],
+    def feed(
+        self, segments: list[DetectedSegment], lookup: FingerprintLookup
     ) -> None:
-        """Fold one batch's per-trace detections (one pass)."""
-        if len(detections) != len(batch):
-            raise ValueError("one detection list per batch trace")
-        offsets = batch.offsets
+        """Fold one trace's detected segments."""
+        self.traces += 1
         seen = self._seen
-        occurrence_counts = self._occurrence_counts
-        distinct_counts = self._distinct_counts
-        self.traces += len(detections)
-        for k, segments in enumerate(detections):
-            if not segments:
-                continue
-            base = offsets[k]
-            for segment in segments:
-                vendor = attribute_vendor(batch, base, segment)
-                bucket = (vendor, segment.flag.name)
-                occurrence_counts[bucket] += 1
-                self.occurrences += 1
-                key = (vendor, segment.key())
-                if key not in seen:
-                    seen.add(key)
-                    distinct_counts[bucket] += 1
+        for segment in segments:
+            vendor = attribute_vendor(segment, lookup)
+            bucket = (vendor, segment.flag.name)
+            self._occurrence_counts[bucket] += 1
+            self.occurrences += 1
+            key = (vendor, segment.key())
+            if key not in seen:
+                seen.add(key)
+                self._distinct_counts[bucket] += 1
 
     def as_doc(self) -> dict:
         """JSON-ready document (deterministically ordered).
@@ -159,36 +153,29 @@ def vendor_breakdown(
 ) -> dict:
     """One-shot breakdown over (trace, fingerprints) pairs.
 
-    Convenience wrapper: builds the batch, runs the batch detector, and
-    returns :meth:`VendorBreakdownAccumulator.as_doc`.
+    Convenience wrapper: detects each trace and returns
+    :meth:`VendorBreakdownAccumulator.as_doc`.
     """
     if detector is None:
         detector = ColumnarDetector()
-    batch = TraceBatch.from_pairs(pairs)
     accumulator = VendorBreakdownAccumulator()
-    accumulator.feed_batch(batch, detector.detect_batch(batch))
+    for trace, fingerprints in pairs:
+        lookup = as_lookup(fingerprints)
+        accumulator.feed(detector.detect(trace, lookup), lookup)
     return accumulator.as_doc()
 
 
 def campaign_vendor_breakdown(results: Mapping[int, object]) -> dict:
     """Breakdown over finished campaign results (the report path).
 
-    Reuses the segments each campaign already detected -- the batch is
-    built only to carry the fingerprint/range columns that attribution
-    reads, so the numbers agree with every other report section by
-    construction.
+    Reuses the segments each campaign already detected, attributed
+    through that campaign's fingerprints, so the numbers agree with
+    every other report section by construction.
     """
     accumulator = VendorBreakdownAccumulator()
     for as_id in sorted(results):
         result = results[as_id]
-        trace_segments = result.trace_segments
-        if not trace_segments:
-            continue
-        fingerprints = result.fingerprints
-        batch = TraceBatch.from_pairs(
-            (trace, fingerprints) for trace, _segments in trace_segments
-        )
-        accumulator.feed_batch(
-            batch, [segments for _trace, segments in trace_segments]
-        )
+        lookup = as_lookup(result.fingerprints)
+        for _trace, segments in result.trace_segments:
+            accumulator.feed(segments, lookup)
     return accumulator.as_doc()

@@ -383,13 +383,22 @@ def build_parser() -> argparse.ArgumentParser:
         "detect", help="run AReST offline over a JSONL trace dataset"
     )
     detect.add_argument("dataset", help="path to a JSONL trace dataset")
-    detect.add_argument(
+    modes = detect.add_mutually_exclusive_group()
+    modes.add_argument(
         "--segments-json",
         action="store_true",
         help=(
             "print the canonical segments document instead of the "
             "summary (byte-identical to the streaming service's "
             "GET /segments over the same traces)"
+        ),
+    )
+    modes.add_argument(
+        "--vendor-breakdown",
+        action="store_true",
+        help=(
+            "print the per-vendor segment/flag breakdown (JSON), "
+            "detected one trace at a time over the dataset"
         ),
     )
     detect.add_argument(
@@ -401,14 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: analyze every hop, like a service without --asn)"
         ),
     )
-    detect.add_argument(
-        "--vendor-breakdown",
-        action="store_true",
-        help=(
-            "print the per-vendor segment/flag breakdown (JSON) computed "
-            "in one columnar pass over the dataset"
-        ),
-    )
+    # argparse cannot say "--asn requires --segments-json"; _cmd_detect
+    # reports it through this parser so it exits 2 like the other usage errors
+    detect.set_defaults(detect_parser=detect)
 
     serve = sub.add_parser(
         "serve",
@@ -709,11 +713,14 @@ def _cmd_degradation(args: argparse.Namespace) -> int:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.campaign import TraceDataset
-    from repro.core.columnar import ColumnarDetector, TraceBatch
+    from repro.core.columnar import ColumnarDetector
+    from repro.core.detector import as_lookup
 
+    if args.asn is not None and not args.segments_json:
+        args.detect_parser.error("argument --asn: requires --segments-json")
     # Streaming end to end: the header read is constant-cost and the
-    # body flows through bounded columnar chunks, so paper-scale spill
-    # files analyze in bounded memory.
+    # body is detected one trace at a time, so paper-scale spill files
+    # analyze in bounded memory.
     header = TraceDataset.read_header(args.dataset)
     if args.segments_json:
         from repro.service.state import batch_aggregate
@@ -724,6 +731,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         sys.stdout.buffer.write(aggregate.segments_json(args.asn))
         sys.stdout.buffer.flush()
         return 0
+    detector = ColumnarDetector()
+    # an archived dataset carries no fingerprints
+    lookup = as_lookup({})
+    traces = TraceDataset.iter_jsonl(args.dataset)
     if args.vendor_breakdown:
         import json
 
@@ -731,24 +742,21 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             VendorBreakdownAccumulator,
         )
 
-        detector = ColumnarDetector()
         accumulator = VendorBreakdownAccumulator()
-        for batch in TraceBatch.iter_jsonl(args.dataset):
-            accumulator.feed_batch(batch, detector.detect_batch(batch))
+        for trace in traces:
+            accumulator.feed(detector.detect(trace, lookup), lookup)
         doc = {"target_asn": header.target_asn, **accumulator.as_doc()}
         print(json.dumps(doc, indent=2, sort_keys=False))
         return 0
     counts: Counter = Counter()
     seen = set()
     total = 0
-    detector = ColumnarDetector()
-    for batch in TraceBatch.iter_jsonl(args.dataset):
-        total += len(batch)
-        for segments in detector.detect_batch(batch):
-            for segment in segments:
-                if segment.key() not in seen:
-                    seen.add(segment.key())
-                    counts[segment.flag] += 1
+    for trace in traces:
+        total += 1
+        for segment in detector.detect(trace, lookup):
+            if segment.key() not in seen:
+                seen.add(segment.key())
+                counts[segment.flag] += 1
     print(
         f"{total} traces toward AS{header.target_asn}, "
         f"{len(seen)} distinct segments"

@@ -9,9 +9,8 @@ traceroute paths plus vendor fingerprints into flagged SR-MPLS segments.
 - :mod:`repro.core.labels` -- label sequence / suffix matching.
 - :mod:`repro.core.segments` -- detected-segment records.
 - :mod:`repro.core.detector` -- the flag-raising engine (object path).
-- :mod:`repro.core.columnar` -- columnar batch representation and the
-  vectorized batch detector (byte-identical output, campaign-scale
-  throughput).
+- :mod:`repro.core.columnar` -- the per-trace detection kernel every
+  caller uses (byte-identical output to the object path).
 - :mod:`repro.core.classification` -- per-hop SR / MPLS / IP areas.
 - :mod:`repro.core.interworking` -- full-SR vs. SR-LDP interworking
   tunnels, modes, and cloud sizes (Sec. 7.2).
@@ -20,7 +19,7 @@ traceroute paths plus vendor fingerprints into flagged SR-MPLS segments.
 
 from repro.core.flags import Flag, SIGNAL_STRENGTH, cvr_false_positive_probability
 from repro.core.detector import ArestDetector
-from repro.core.columnar import ColumnarDetector, TraceBatch
+from repro.core.columnar import ColumnarDetector
 from repro.core.segments import DetectedSegment
 from repro.core.classification import HopArea, classify_hops
 from repro.core.interworking import (
@@ -36,7 +35,6 @@ __all__ = [
     "cvr_false_positive_probability",
     "ArestDetector",
     "ColumnarDetector",
-    "TraceBatch",
     "DetectedSegment",
     "HopArea",
     "classify_hops",

@@ -1,50 +1,30 @@
-"""Columnar trace core: vectorized flag evaluation over whole campaigns.
+"""Columnar trace core: the per-trace AReST detection kernel.
 
-The object-path detector (:class:`repro.core.detector.ArestDetector`)
-walks one hop object at a time -- per-hop Python dispatch caps it around
-27k traces/sec, three orders of magnitude short of what replaying a
-paper-scale 7.7M-trace campaign wants.  This module trades the per-hop
-walk for a *columnar* batch representation plus array passes:
-
-:class:`TraceBatch`
-    Flat per-hop columns for a whole campaign, built **once** from
-    :class:`~repro.probing.records.Trace` objects or streamed straight
-    from :meth:`~repro.campaign.dataset.TraceDataset.iter_jsonl`:
-    effective top labels, effective stack depths, base eligibility,
-    vendor-range membership, adjacent-label match bits, interned
-    fingerprint-vendor ids and hop->trace offsets.  Everything the flag
-    hierarchy (Sec. 4) consumes is precomputed at build; re-detection
-    over a built batch touches only the columns.
-
-:class:`ColumnarDetector`
-    The batch flag evaluator.  Eligibility masking, maximal-run
-    discovery, suffix matching and CVR/CO/LSVR/LVR/LSO classification
-    run as whole-batch array passes: per-hop bits are combined with
-    arbitrary-precision integer bitwise ops (one machine op per 30
-    bytes of hops, via ``int.from_bytes``), maximal label runs fall out
-    of a single C-level regex scan over the match bytes, and per-run
-    evidence checks are ``bytearray.find`` range probes.  The only
-    per-segment Python executed is the construction of the
-    :class:`~repro.core.segments.DetectedSegment` results themselves.
+:class:`ColumnarDetector` evaluates the flag hierarchy (Sec. 4) over
+one trace at a time, projected onto flat per-hop lists instead of the
+hop objects :class:`~repro.core.detector.ArestDetector` walks:
+effective top labels, effective stack depths, eligibility and
+vendor-range membership are computed in one loop, maximal label runs
+(with footnote 4's suffix matching) fall out of a second, and a third
+emits the CVR/CO/LSVR/LVR/LSO segments in first-hop order.  Every
+detection caller uses it: the pipeline behind each campaign, the
+streaming service, ``arest detect`` and the archive re-detection
+helpers.  ``benchmarks/test_bench_detector_throughput.py`` times it
+against the object path (``columnar_detect_speedup`` in
+``BENCH_detector.json``).
 
 The output contract is byte-identical to the object path -- same flags,
 same hop indices, same ``suffix_based`` bits, same ordering -- enforced
 by the Hypothesis differential suite in
-``tests/core/test_columnar_differential.py`` (the fast ≡ reference
-idiom PR 5 established for the probing fast path).
-
-No new dependencies: columns live in :mod:`array`/``bytearray``
-storage, the bitwise passes are stdlib big-int arithmetic, and the run
-scan is :mod:`re` on bytes.
+``tests/core/test_columnar_differential.py``.  ``ArestDetector`` stays
+the readable specification and that suite's oracle.
 """
 
 from __future__ import annotations
 
-import re
-from array import array
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Mapping
 
-from repro.core.detector import FingerprintLookup, _lookup_from_mapping
+from repro.core.detector import FingerprintLookup, as_lookup
 from repro.core.flags import Flag
 from repro.core.labels import SUFFIX_DIGITS
 from repro.core.segments import DetectedSegment
@@ -58,345 +38,13 @@ _ELI = int(ReservedLabel.ENTROPY_LABEL_INDICATOR)
 _FIRST_UNRESERVED = 16
 _SUFFIX_MODULUS = 10**SUFFIX_DIGITS
 
-#: default chunk size for streamed (JSONL) batch construction
-DEFAULT_CHUNK = 4096
-
-
-class RowView:
-    """Per-trace view over one batch row (the object-API bridge).
-
-    Everything is trace-relative; ``tops``/``depths`` mirror what
-    :func:`repro.core.detector.effective_labels` would compute hop by
-    hop (top label or ``None``, effective depth), ``eligible`` is the
-    base eligibility the detector starts from.  The differential
-    suite's round-trip property checks these against the object path.
-    """
-
-    __slots__ = ("trace", "tops", "depths", "eligible", "in_range")
-
-    def __init__(self, trace, tops, depths, eligible, in_range):
-        self.trace = trace
-        self.tops = tops
-        self.depths = depths
-        self.eligible = eligible
-        self.in_range = in_range
-
-
-class TraceBatch:
-    """Flat, append-only columnar storage for a batch of traces.
-
-    Build through the classmethods (:meth:`from_traces`,
-    :meth:`from_pairs`, :meth:`from_jsonl`, :meth:`iter_jsonl`); the
-    builder seals the batch (:meth:`_seal`) by caching the big-int
-    projections of the bit columns, after which detection never touches
-    Python-level per-hop state again.
-    """
-
-    __slots__ = (
-        "traces",
-        "offsets",
-        "top",
-        "depth",
-        "truth_asn",
-        "addresses",
-        "elig",
-        "in_range",
-        "eq_next",
-        "sfx_next",
-        "single",
-        "vendor_id",
-        "vendor_names",
-        "_elig_int",
-        "_eq_int",
-        "_sfx_int",
-        "_single_int",
-        "_asn_masks",
-    )
-
-    def __init__(self) -> None:
-        self.traces: list[Trace] = []
-        #: hop-offset of each trace; ``offsets[k] .. offsets[k+1]`` is
-        #: trace ``k``'s global hop range
-        self.offsets = array("q", [0])
-        #: effective top label per hop (-1: no detectable signal)
-        self.top = array("i")
-        #: effective stack depth per hop (reserved/ELI pairs stripped)
-        self.depth = array("i")
-        #: ground-truth owner AS per hop (-1: unannotated)
-        self.truth_asn = array("i")
-        #: responding address per hop (None on ``*`` hops)
-        self.addresses: list[IPv4Address | None] = []
-        #: base eligibility: signal present, not TNT-revealed, addressed
-        self.elig = bytearray()
-        #: top label inside the hop fingerprint's SR range
-        self.in_range = bytearray()
-        #: ``top[i] == top[i+1]`` within the same trace
-        self.eq_next = bytearray()
-        #: labels differ but share the decimal suffix (footnote 4)
-        self.sfx_next = bytearray()
-        #: single-hop signal: effective depth >= 2 or in-range label
-        self.single = bytearray()
-        #: interned fingerprint evidence id per hop (0: unfingerprinted)
-        self.vendor_id = bytearray()
-        #: id -> vendor token ("" at 0, "Cisco", "Cisco|Huawei", ...)
-        self.vendor_names: list[str] = [""]
-        self._elig_int = 0
-        self._eq_int = 0
-        self._sfx_int = 0
-        self._single_int = 0
-        self._asn_masks: dict[int, int] = {}
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def from_traces(
-        cls,
-        traces: Iterable[Trace],
-        fingerprints: Mapping[IPv4Address, Fingerprint]
-        | FingerprintLookup
-        | None = None,
-    ) -> "TraceBatch":
-        """Build one batch; every trace shares one fingerprint mapping."""
-        lookup = _as_lookup(fingerprints)
-        batch = cls()
-        for trace in traces:
-            batch._append(trace, lookup)
-        batch._seal()
-        return batch
-
-    @classmethod
-    def from_pairs(
-        cls,
-        pairs: Iterable[
-            tuple[Trace, Mapping[IPv4Address, Fingerprint] | FingerprintLookup]
-        ],
-    ) -> "TraceBatch":
-        """Build from (trace, fingerprints) pairs -- campaigns may carry
-        per-AS fingerprint maps, exactly as the pipeline feeds the
-        object detector."""
-        batch = cls()
-        cache: dict[int, FingerprintLookup] = {}
-        for trace, fingerprints in pairs:
-            key = id(fingerprints)
-            lookup = cache.get(key)
-            if lookup is None:
-                lookup = cache[key] = _as_lookup(fingerprints)
-            batch._append(trace, lookup)
-        batch._seal()
-        return batch
-
-    @classmethod
-    def from_jsonl(
-        cls,
-        path,
-        fingerprints: Mapping[IPv4Address, Fingerprint]
-        | FingerprintLookup
-        | None = None,
-    ) -> "TraceBatch":
-        """Build one batch straight from a ``dump_jsonl`` dataset file."""
-        from repro.campaign.dataset import TraceDataset
-
-        return cls.from_traces(TraceDataset.iter_jsonl(path), fingerprints)
-
-    @classmethod
-    def iter_jsonl(
-        cls,
-        path,
-        fingerprints: Mapping[IPv4Address, Fingerprint]
-        | FingerprintLookup
-        | None = None,
-        chunk: int = DEFAULT_CHUNK,
-    ) -> Iterator["TraceBatch"]:
-        """Stream a dataset as bounded-size batches.
-
-        Constant memory in the dataset size: each yielded batch holds at
-        most ``chunk`` traces, so paper-scale archives re-detect without
-        ever materializing the whole campaign.
-        """
-        from repro.campaign.dataset import TraceDataset
-
-        if chunk < 1:
-            raise ValueError("chunk must be positive")
-        lookup = _as_lookup(fingerprints)
-        batch = cls()
-        for trace in TraceDataset.iter_jsonl(path):
-            batch._append(trace, lookup)
-            if len(batch.traces) >= chunk:
-                batch._seal()
-                yield batch
-                batch = cls()
-        if batch.traces:
-            batch._seal()
-            yield batch
-
-    def _append(self, trace: Trace, lookup: FingerprintLookup) -> None:
-        """Project one trace's hops onto the columns (the only per-hop
-        Python in the columnar life cycle -- paid once per batch)."""
-        top = self.top
-        depth = self.depth
-        truth_asn = self.truth_asn
-        addresses = self.addresses
-        elig = self.elig
-        in_range = self.in_range
-        eq_next = self.eq_next
-        sfx_next = self.sfx_next
-        single = self.single
-        vendor_id = self.vendor_id
-        start = len(top)
-        prev_top = -1
-        for hop in trace.hops:
-            hop_top = -1
-            hop_depth = 0
-            lses = hop.lses
-            if lses:
-                labels = [e.label for e in lses]
-                n = len(labels)
-                i = 0
-                while i < n:
-                    value = labels[i]
-                    if value == _ELI:
-                        i += 2  # skip the ELI and its entropy value
-                        continue
-                    if value < _FIRST_UNRESERVED:
-                        i += 1  # other reserved labels: signalling only
-                        continue
-                    if hop_top < 0:
-                        hop_top = value
-                    hop_depth += 1
-                    i += 1
-            address = hop.address
-            ok = hop_top >= 0 and address is not None and not hop.tnt_revealed
-            ranged = 0
-            vid = 0
-            if ok:
-                fp = lookup(address)
-                if fp.method is not FingerprintMethod.NONE:
-                    ranged = int(
-                        any(r.low <= hop_top <= r.high for r in ranges_for_fingerprint(fp))
-                    )
-                    vid = self._vendor_token(fp)
-            top.append(hop_top)
-            depth.append(hop_depth)
-            t_asn = hop.truth_asn
-            truth_asn.append(-1 if t_asn is None else t_asn)
-            addresses.append(address)
-            elig.append(1 if ok else 0)
-            in_range.append(ranged)
-            single.append(1 if (hop_depth >= 2 or ranged) else 0)
-            eq_next.append(0)
-            sfx_next.append(0)
-            vendor_id.append(vid)
-            if prev_top >= 0 and hop_top >= 0:
-                here = len(top) - 1
-                if prev_top == hop_top:
-                    eq_next[here - 1] = 1
-                elif prev_top % _SUFFIX_MODULUS == hop_top % _SUFFIX_MODULUS:
-                    sfx_next[here - 1] = 1
-            prev_top = hop_top
-        self.traces.append(trace)
-        self.offsets.append(len(top))
-        assert len(top) - start == len(trace.hops)
-
-    def _vendor_token(self, fp: Fingerprint) -> int:
-        """Intern the fingerprint's vendor evidence as a small id."""
-        if fp.exact_vendor is not None:
-            token = fp.exact_vendor.value
-        elif fp.vendor_class:
-            token = "|".join(sorted(v.value for v in fp.vendor_class))
-        else:
-            return 0
-        try:
-            return self.vendor_names.index(token)
-        except ValueError:
-            self.vendor_names.append(token)
-            if len(self.vendor_names) > 255:
-                raise ValueError("too many distinct vendor tokens") from None
-            return len(self.vendor_names) - 1
-
-    def _seal(self) -> None:
-        """Cache the big-int projections of the bit columns.
-
-        ``int.from_bytes`` turns a bytearray of 0/1 flags into one
-        arbitrary-precision integer whose byte *i* is hop *i*
-        (little-endian), so whole-batch boolean algebra becomes a
-        handful of big-int ``&``/``|``/``>>`` ops instead of a Python
-        loop per hop.
-        """
-        self._elig_int = int.from_bytes(self.elig, "little")
-        self._eq_int = int.from_bytes(self.eq_next, "little")
-        self._sfx_int = int.from_bytes(self.sfx_next, "little")
-        self._single_int = int.from_bytes(self.single, "little")
-        self._asn_masks = {}
-
-    # -- views ---------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.traces)
-
-    @property
-    def n_hops(self) -> int:
-        """Total hops across all traces."""
-        return len(self.top)
-
-    def trace(self, k: int) -> Trace:
-        """The original trace object behind row ``k``."""
-        return self.traces[k]
-
-    def row(self, k: int) -> RowView:
-        """Trace-relative view of row ``k``'s columns."""
-        lo, hi = self.offsets[k], self.offsets[k + 1]
-        return RowView(
-            trace=self.traces[k],
-            tops=[t if t >= 0 else None for t in self.top[lo:hi]],
-            depths=list(self.depth[lo:hi]),
-            eligible=[bool(b) for b in self.elig[lo:hi]],
-            in_range=[bool(b) for b in self.in_range[lo:hi]],
-        )
-
-    def iter_traces(self) -> Iterator[Trace]:
-        return iter(self.traces)
-
-    def asn_mask(self, asn: int) -> int:
-        """Big-int eligibility mask selecting hops owned by ``asn``.
-
-        The columnar equivalent of the pipeline's per-trace
-        in-AS ``hop_mask`` under the default (ground-truth) annotator;
-        computed once per (batch, asn) and cached.
-        """
-        mask = self._asn_masks.get(asn)
-        if mask is None:
-            member = bytes(
-                1 if t == asn else 0 for t in self.truth_asn
-            )
-            mask = int.from_bytes(member, "little")
-            self._asn_masks[asn] = mask
-        return mask
-
-    def global_index(self, k: int, hop_index: int) -> int:
-        """Map a (trace, trace-relative hop) pair to its column index."""
-        return self.offsets[k] + hop_index
-
-
-def _as_lookup(
-    fingerprints: Mapping[IPv4Address, Fingerprint]
-    | FingerprintLookup
-    | None,
-) -> FingerprintLookup:
-    if fingerprints is None:
-        fingerprints = {}
-    if callable(fingerprints):
-        return fingerprints
-    return _lookup_from_mapping(fingerprints)
-
 
 class ColumnarDetector:
-    """Batch flag evaluation over :class:`TraceBatch` columns.
+    """Per-trace flag evaluation over flat per-hop columns.
 
     Drop-in for :class:`~repro.core.detector.ArestDetector`: the
-    :meth:`detect` method has the identical signature and byte-identical
-    output, implemented as a one-row batch.  The throughput win comes
-    from :meth:`detect_batch`, which amortizes every pass over a whole
-    campaign.
+    :meth:`detect` method has the identical signature and
+    byte-identical output.
     """
 
     def __init__(
@@ -408,13 +56,6 @@ class ColumnarDetector:
             raise ValueError("consecutive flags need runs of >= 2 hops")
         self._min_run = min_run_length
         self._suffix_matching = suffix_matching
-        # a maximal stretch of k match bits covers k+1 hops, so a
-        # >=min_run-hop run is >=min_run-1 consecutive set bytes
-        self._run_re = re.compile(
-            b"\x01{%d,}" % (min_run_length - 1)
-        )
-
-    # -- object-API bridge ---------------------------------------------------
 
     def detect(
         self,
@@ -423,19 +64,13 @@ class ColumnarDetector:
         hop_filter: Callable[[TraceHop], bool] | None = None,
         hop_mask: frozenset[int] | set[int] | None = None,
     ) -> list[DetectedSegment]:
-        """Detect SR-MPLS segments in one trace (one-row column view).
+        """Detect SR-MPLS segments in one trace.
 
-        Same contract as :meth:`ArestDetector.detect` -- this is what
-        :class:`~repro.core.pipeline.ArestPipeline` and the streaming
-        service call per trace, keeping every object-API consumer
-        working unchanged on the columnar core.  Runs the same passes
-        as :meth:`detect_batch` but over plain per-trace lists: for a
-        single row the batch container's column/bigint bookkeeping
-        costs more than it amortizes, so the one-row view projects and
-        scans in two tight loops instead.  The differential suite pins
-        both entry points to the object path independently.
+        Same contract as :meth:`ArestDetector.detect`.  Three tight
+        loops over plain per-hop lists: project labels and eligibility,
+        find maximal runs, emit segments.
         """
-        lookup = _as_lookup(fingerprints)
+        lookup = as_lookup(fingerprints)
         hops = trace.hops
         n = len(hops)
         tops = [0] * n
@@ -486,7 +121,7 @@ class ColumnarDetector:
                             ranged[idx] = 1
                             break
         # maximal run discovery: a chain extends while adjacent eligible
-        # tops sequence-match, exactly the pair-match bits of the batch
+        # tops sequence-match
         suffix = self._suffix_matching
         min_run = self._min_run
         runs: list[tuple[int, int]] = []  # (start, last) inclusive
@@ -566,154 +201,3 @@ class ColumnarDetector:
                     )
             idx += 1
         return segments
-
-    # -- batch passes --------------------------------------------------------
-
-    def detect_batch(
-        self,
-        batch: TraceBatch,
-        hop_masks: list[frozenset[int] | set[int] | None] | None = None,
-        asn: int | None = None,
-    ) -> list[list[DetectedSegment]]:
-        """Per-trace detected segments for the whole batch.
-
-        ``asn`` restricts eligibility to hops whose ground-truth owner
-        is that AS (the columnar analogue of the pipeline's in-AS
-        ``hop_mask``); ``hop_masks`` gives one explicit trace-relative
-        index set per trace (None entries leave that trace unmasked).
-        When both are given the explicit masks win, like the object
-        path's mask-beats-filter rule.
-        """
-        n_traces = len(batch.traces)
-        out: list[list[DetectedSegment]] = [[] for _ in range(n_traces)]
-        n_hops = batch.n_hops
-        if n_hops == 0:
-            return out
-        elig_int = batch._elig_int
-        if hop_masks is not None:
-            if len(hop_masks) != n_traces:
-                raise ValueError("one hop mask (or None) per trace")
-            elig_int &= _masks_to_int(batch, hop_masks)
-        elif asn is not None:
-            elig_int &= batch.asn_mask(asn)
-
-        # pair (i, i+1) continues a run iff both hops are eligible and
-        # their top labels sequence-match; eq/sfx bits are already zero
-        # across trace boundaries, so runs can never span traces
-        if self._suffix_matching:
-            link = batch._eq_int | batch._sfx_int
-        else:
-            link = batch._eq_int
-        match_int = elig_int & (elig_int >> 8) & link
-        found: list[tuple[int, int, bool]] = []  # (start, end incl, is_run)
-        if match_int:
-            match = match_int.to_bytes(n_hops, "little")
-            singles_int = elig_int & batch._single_int
-            if singles_int:
-                cand = bytearray(singles_int.to_bytes(n_hops, "little"))
-            else:
-                cand = None
-            zeros: bytes | None = None
-            for m in self._run_re.finditer(match):
-                start, last = m.start(), m.end()  # hops start..last incl.
-                found.append((start, last, True))
-                if cand is not None:
-                    width = last + 1 - start
-                    if zeros is None or len(zeros) < width:
-                        zeros = bytes(width)
-                    cand[start : last + 1] = zeros[:width]
-        else:
-            singles_int = elig_int & batch._single_int
-            cand = (
-                bytearray(singles_int.to_bytes(n_hops, "little"))
-                if singles_int
-                else None
-            )
-        if cand is not None:
-            find = cand.find
-            pos = find(1)
-            while pos != -1:
-                found.append((pos, pos, False))
-                pos = find(1, pos + 1)
-        if not found:
-            return out
-        found.sort(key=_found_start)
-
-        offsets = batch.offsets
-        top = batch.top
-        depth = batch.depth
-        addresses = batch.addresses
-        in_range = batch.in_range
-        eq_next = batch.eq_next
-        in_range_find = in_range.find
-        eq_find = eq_next.find
-        trusted = DetectedSegment.trusted
-        k = 0
-        base = 0
-        nxt = offsets[1]
-        for start, last, is_run in found:
-            while start >= nxt:
-                k += 1
-                nxt = offsets[k + 1]
-            base = offsets[k]
-            if is_run:
-                stop = last + 1
-                vendor_confirmed = in_range_find(1, start, stop) != -1
-                segment = trusted(
-                    Flag.CVR if vendor_confirmed else Flag.CO,
-                    tuple(range(start - base, stop - base)),
-                    tuple(addresses[start:stop]),
-                    tuple(top[start:stop]),
-                    tuple(depth[start:stop]),
-                    # any adjacent pair that is not label-equal relied
-                    # on suffix matching (footnote 4)
-                    eq_find(0, start, last) != -1,
-                )
-            else:
-                ranged = in_range[start]
-                hop_depth = depth[start]
-                if hop_depth >= 2:
-                    flag = Flag.LSVR if ranged else Flag.LSO
-                else:  # single label; candidates guarantee in-range
-                    flag = Flag.LVR
-                segment = trusted(
-                    flag,
-                    (start - base,),
-                    (addresses[start],),
-                    (top[start],),
-                    (hop_depth,),
-                    False,
-                )
-            out[k].append(segment)
-        return out
-
-    def count_batch(
-        self,
-        batch: TraceBatch,
-        hop_masks: list | None = None,
-        asn: int | None = None,
-    ) -> tuple[int, list[list[DetectedSegment]]]:
-        """Segment occurrences plus the per-trace lists (benchmark aid)."""
-        detections = self.detect_batch(batch, hop_masks=hop_masks, asn=asn)
-        return sum(len(d) for d in detections), detections
-
-
-def _found_start(item: tuple[int, int, bool]) -> int:
-    return item[0]
-
-
-def _masks_to_int(batch: TraceBatch, hop_masks: list) -> int:
-    """Big-int eligibility mask from per-trace index sets.
-
-    ``None`` entries leave every hop of that trace selected.
-    """
-    member = bytearray(b"\x01" * batch.n_hops)
-    offsets = batch.offsets
-    for k, mask in enumerate(hop_masks):
-        if mask is None:
-            continue
-        lo, hi = offsets[k], offsets[k + 1]
-        for i in range(lo, hi):
-            if (i - lo) not in mask:
-                member[i] = 0
-    return int.from_bytes(member, "little")

@@ -85,6 +85,20 @@ def _lookup_from_mapping(
     return lookup
 
 
+def as_lookup(
+    fingerprints: Mapping[IPv4Address, Fingerprint]
+    | FingerprintLookup
+    | None,
+) -> FingerprintLookup:
+    """Normalize a fingerprint mapping (or ``None``) to a lookup; a
+    lookup passes through unchanged."""
+    if fingerprints is None:
+        fingerprints = {}
+    if callable(fingerprints):
+        return fingerprints
+    return _lookup_from_mapping(fingerprints)
+
+
 class ArestDetector:
     """Stateless detector; one instance can process any number of traces.
 
@@ -120,11 +134,7 @@ class ArestDetector:
         paying a predicate call per hop; when both are given the mask
         wins.
         """
-        lookup = (
-            fingerprints
-            if callable(fingerprints)
-            else _lookup_from_mapping(fingerprints)
-        )
+        lookup = as_lookup(fingerprints)
         # One effective-label computation per hop; every later stage
         # (eligibility, run discovery, classification) reads this view.
         views = [effective_labels(hop) for hop in trace.hops]

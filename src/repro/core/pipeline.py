@@ -287,14 +287,12 @@ class AsAccumulator:
 class ArestPipeline:
     """Runs AReST over trace batches, one AS of interest at a time.
 
-    Detection defaults to the columnar core
-    (:class:`~repro.core.columnar.ColumnarDetector`): each trace is a
-    one-row column batch, so the pipeline's object API -- and every
-    caller built on it, including the streaming service -- rides the
-    same array passes the whole-campaign batch path uses.  Pass an
-    explicit :class:`ArestDetector` for the object-path reference; the
-    two are byte-identical by the differential contract, so the choice
-    only moves the cost model.
+    Detection defaults to the per-trace columnar kernel
+    (:class:`~repro.core.columnar.ColumnarDetector`), the same one
+    ``arest detect`` and the streaming service use.  Pass an explicit
+    :class:`ArestDetector` for the object-path reference; the two are
+    byte-identical by the differential contract, so the choice only
+    moves the cost model.
     """
 
     def __init__(

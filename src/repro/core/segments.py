@@ -66,7 +66,7 @@ class DetectedSegment:
     ) -> "DetectedSegment":
         """Construct without re-validating the ``__post_init__`` invariants.
 
-        For batch builders whose construction guarantees them (the
+        For callers whose construction guarantees them (the
         columnar detector derives every tuple from one contiguous hop
         range, so the length/contiguity/arity checks hold by
         construction); the differential suite enforces equality with

@@ -136,7 +136,7 @@ class TestReDetection:
                 self.archive(tmp_path, "b2024.jsonl", 65002, labeled=False),
             ],
         }
-        snapshots = re_detect_adoption(archives, chunk=4)
+        snapshots = re_detect_adoption(archives)
         assert [s.year for s in snapshots] == [2020, 2024]
         first, second = snapshots
         assert first.datasets == 1

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.segment_stats import (
     SegmentLengthRow,
-    batch_segment_length_rows,
     portfolio_expected_false_positives,
     segment_length_rows,
 )
@@ -58,9 +57,3 @@ class TestFromCampaign:
         # with the ~1e6 Cisco pool the whole campaign's coincidence
         # budget is far below one segment -- Sec. 4.1's argument, priced
         assert portfolio_expected_false_positives(rows) < 1e-3
-
-    def test_batch_rows_match_object_rows(self, small_portfolio_results):
-        """Columnar re-detection reproduces the stored-segment rows."""
-        assert batch_segment_length_rows(
-            small_portfolio_results
-        ) == segment_length_rows(small_portfolio_results)

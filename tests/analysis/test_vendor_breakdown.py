@@ -7,7 +7,8 @@ from repro.analysis.vendor_breakdown import (
     campaign_vendor_breakdown,
     vendor_breakdown,
 )
-from repro.core.columnar import ColumnarDetector, TraceBatch
+from repro.core.columnar import ColumnarDetector
+from repro.core.detector import as_lookup
 from repro.fingerprint.records import Fingerprint
 from repro.netsim.addressing import IPv4Address
 from repro.netsim.vendors import Vendor
@@ -96,21 +97,28 @@ class TestAccumulator:
             )
         return pairs
 
-    def test_chunking_invariant(self):
-        """One batch or many chunks: the merged document is identical."""
-        pairs = self.make_pairs()
+    def test_order_invariant(self):
+        """Any order of the fed traces gives the same document."""
+        # repeated traces make distinct-segment dedup part of the check
+        pairs = self.make_pairs() + self.make_pairs()[:4]
         detector = ColumnarDetector()
-
-        whole = VendorBreakdownAccumulator()
-        batch = TraceBatch.from_pairs(pairs)
-        whole.feed_batch(batch, detector.detect_batch(batch))
-
-        chunked = VendorBreakdownAccumulator()
-        for lo in range(0, len(pairs), 3):
-            part = TraceBatch.from_pairs(pairs[lo : lo + 3])
-            chunked.feed_batch(part, detector.detect_batch(part))
-
-        assert whole.as_doc() == chunked.as_doc()
+        detections = []
+        for trace, fps in pairs:
+            lookup = as_lookup(fps)
+            detections.append((detector.detect(trace, lookup), lookup))
+        docs = []
+        for order in (
+            detections,
+            detections[::-1],
+            detections[1::2] + detections[::2],
+        ):
+            accumulator = VendorBreakdownAccumulator()
+            for segments, lookup in order:
+                accumulator.feed(segments, lookup)
+            docs.append(accumulator.as_doc())
+        assert docs[0] == docs[1] == docs[2] == vendor_breakdown(pairs)
+        assert docs[0]["segment_occurrences"] == 14
+        assert docs[0]["distinct_segments"] == 10
 
     def test_distinct_vs_occurrences(self):
         pairs = self.make_pairs()
@@ -120,15 +128,6 @@ class TestAccumulator:
         assert doc["segment_occurrences"] == 10
         assert doc["distinct_segments"] == 10
         assert doc["traces"] == 10
-
-    def test_mismatched_detections_rejected(self):
-        import pytest
-
-        pairs = self.make_pairs()
-        batch = TraceBatch.from_pairs(pairs)
-        accumulator = VendorBreakdownAccumulator()
-        with pytest.raises(ValueError):
-            accumulator.feed_batch(batch, [[]])
 
 
 class TestCampaignBreakdown:

@@ -1,9 +1,7 @@
-"""Differential suite: the columnar core ≡ the object-path detector.
+"""Differential suite: the columnar kernel ≡ the object-path detector.
 
 The columnar detector's entire value proposition is *byte-identical
-output, orders-of-magnitude cheaper*.  These properties pin both of its
-entry points -- the one-row :meth:`ColumnarDetector.detect` bridge and
-the whole-campaign :meth:`ColumnarDetector.detect_batch` passes --
+output, cheaper*.  These properties pin :meth:`ColumnarDetector.detect`
 against :class:`ArestDetector` over adversarial traces: reserved/ELI
 label stacks, suffix families, address-less labeled hops, TNT-revealed
 hops, every fingerprint grade, and the mask/filter knobs.
@@ -12,8 +10,8 @@ hops, every fingerprint grade, and the mask/filter knobs.
 from hypothesis import given, settings, strategies as st
 
 from repro.campaign.dataset import TraceDataset
-from repro.core.columnar import ColumnarDetector, TraceBatch
-from repro.core.detector import ArestDetector, effective_labels
+from repro.core.columnar import ColumnarDetector
+from repro.core.detector import ArestDetector
 from repro.core.pipeline import ArestPipeline
 from repro.fingerprint.records import Fingerprint
 from repro.netsim.addressing import IPv4Address
@@ -84,7 +82,7 @@ class TestDifferential:
         st.booleans(),
         st.sampled_from((2, 3)),
     )
-    def test_per_trace_and_batch_identical(
+    def test_per_trace_identical(
         self, specs, fingerprints, suffix_matching, min_run
     ):
         traces = [build_trace(s) for s in specs]
@@ -95,11 +93,7 @@ class TestDifferential:
             min_run_length=min_run, suffix_matching=suffix_matching
         )
         expected = [reference.detect(t, fingerprints) for t in traces]
-        # one-row bridge: the pipeline/service entry point
         assert [columnar.detect(t, fingerprints) for t in traces] == expected
-        # whole-batch array passes
-        batch = TraceBatch.from_traces(traces, fingerprints)
-        assert columnar.detect_batch(batch) == expected
 
     @settings(max_examples=scaled_examples(75), deadline=None)
     @given(trace_st, fingerprints_st, st.sets(st.integers(0, 11)))
@@ -109,25 +103,23 @@ class TestDifferential:
         columnar = ColumnarDetector()
         expected = reference.detect(trace, fingerprints, hop_mask=mask)
         assert columnar.detect(trace, fingerprints, hop_mask=mask) == expected
-        batch = TraceBatch.from_traces([trace], fingerprints)
-        assert columnar.detect_batch(batch, hop_masks=[mask]) == [expected]
 
     @settings(max_examples=scaled_examples(75), deadline=None)
-    @given(trace_st, fingerprints_st, st.sampled_from((None, 100, 200)))
+    @given(trace_st, fingerprints_st, st.sampled_from((100, 200)))
     def test_asn_mask_matches_truth_filter(self, specs, fingerprints, asn):
-        """``detect_batch(asn=...)`` ≡ the pipeline's in-AS hop mask."""
+        """A ``truth_asn`` hop mask (how archives are scoped to their
+        target AS) ≡ the object path's ownership filter."""
         trace = build_trace(specs)
         mask = {
-            i
-            for i, hop in enumerate(trace.hops)
-            if asn is None or hop.truth_asn == asn
+            i for i, hop in enumerate(trace.hops) if hop.truth_asn == asn
         }
         expected = ArestDetector().detect(
-            trace, fingerprints, hop_mask=mask
+            trace, fingerprints, hop_filter=lambda hop: hop.truth_asn == asn
         )
-        batch = TraceBatch.from_traces([trace], fingerprints)
-        detections = ColumnarDetector().detect_batch(batch, asn=asn)
-        assert detections == [expected]
+        assert (
+            ColumnarDetector().detect(trace, fingerprints, hop_mask=mask)
+            == expected
+        )
 
     @settings(max_examples=scaled_examples(75), deadline=None)
     @given(trace_st, fingerprints_st)
@@ -142,29 +134,6 @@ class TestDifferential:
             ColumnarDetector().detect(trace, fingerprints, hop_filter=keep)
             == expected
         )
-
-    @settings(max_examples=scaled_examples(75), deadline=None)
-    @given(trace_st, fingerprints_st)
-    def test_row_view_round_trip(self, specs, fingerprints):
-        """Batch build -> row view reproduces the per-hop object facts."""
-        trace = build_trace(specs)
-        batch = TraceBatch.from_traces([trace], fingerprints)
-        assert len(batch) == 1
-        assert batch.n_hops == len(trace.hops)
-        assert batch.trace(0) is trace
-        row = batch.row(0)
-        assert row.trace is trace
-        for i, hop in enumerate(trace.hops):
-            effective = effective_labels(hop)
-            assert row.tops[i] == (effective[0] if effective else None)
-            assert row.depths[i] == len(effective)
-            assert row.eligible[i] == (
-                bool(effective)
-                and hop.address is not None
-                and not hop.tnt_revealed
-            )
-            if row.in_range[i]:
-                assert row.eligible[i]  # range bits only on eligible hops
 
 
 class TestPipelineParity:
@@ -209,19 +178,6 @@ class TestPipelineParity:
 
 
 class TestEdgeCases:
-    def test_empty_batch(self):
-        batch = TraceBatch.from_traces([], {})
-        assert len(batch) == 0
-        assert batch.n_hops == 0
-        assert ColumnarDetector().detect_batch(batch) == []
-
-    def test_batch_of_empty_traces(self):
-        traces = [make_trace([]), make_trace([])]
-        batch = TraceBatch.from_traces(traces, {})
-        assert len(batch) == 2
-        assert batch.n_hops == 0
-        assert ColumnarDetector().detect_batch(batch) == [[], []]
-
     def test_empty_trace_one_row(self):
         trace = make_trace([])
         assert ColumnarDetector().detect(trace, {}) == []
@@ -244,7 +200,7 @@ class TestEdgeCases:
             assert all(s.length < 3 for s in segments)
 
     def test_jsonl_streaming_matches_object_path(self, tmp_path):
-        """from_jsonl / chunked iter_jsonl reproduce object detection."""
+        """Traces streamed from a JSONL archive detect identically."""
         traces = []
         for k in range(25):
             label = 16000 + (k % 3)
@@ -265,10 +221,8 @@ class TestEdgeCases:
             reference.detect(t, {}) for t in TraceDataset.iter_jsonl(path)
         ]
         columnar = ColumnarDetector()
-        whole = TraceBatch.from_jsonl(path)
-        assert columnar.detect_batch(whole) == expected
-        chunked = []
-        for batch in TraceBatch.iter_jsonl(path, chunk=4):
-            assert len(batch) <= 4
-            chunked.extend(columnar.detect_batch(batch))
-        assert chunked == expected
+        streamed = [
+            columnar.detect(t, {}) for t in TraceDataset.iter_jsonl(path)
+        ]
+        assert streamed == expected
+        assert any(streamed)

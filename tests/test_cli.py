@@ -158,6 +158,21 @@ class TestErrorPaths:
         with pytest.raises(FileNotFoundError):
             main(["detect", "/nonexistent/traces.jsonl"])
 
+    def test_detect_asn_requires_segments_json(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "traces.jsonl", "--asn", "999"])
+        assert exc.value.code == 2
+        assert "--asn: requires --segments-json" in capsys.readouterr().err
+
+    def test_detect_output_modes_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["detect", "traces.jsonl", "--segments-json",
+                 "--vendor-breakdown"]
+            )
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
     def test_run_as_unknown_id(self):
         with pytest.raises(KeyError):
             main(["run-as", "99"])
