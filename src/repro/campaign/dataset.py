@@ -7,6 +7,7 @@ role for the simulated campaign.  Serialization is line-oriented JSON
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,6 +16,15 @@ from typing import Iterable, Iterator
 from repro.netsim.addressing import IPv4Address
 from repro.probing.records import QuotedLse, Trace, TraceHop
 from repro.util.atomicio import atomic_writer
+
+#: entries per decode memo.  Archives repeat a small vocabulary of
+#: interface addresses and label stack entries across many hops; the
+#: bound keeps :meth:`TraceDataset.iter_jsonl` constant-memory on
+#: paper-scale archives (~1.9M distinct addresses).
+_DECODE_MEMO_SIZE = 16384
+
+#: what a JSON object that is not a well-formed trace record raises
+_DECODE_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 
 
 @dataclass(slots=True)
@@ -104,7 +114,8 @@ class TraceDataset:
         Constant memory: each line is decoded, yielded and dropped, so
         paper-scale datasets never need to fit in RAM.  The header is
         validated (use :meth:`read_header` to read it); a malformed
-        body line raises :class:`ValueError` naming the file and the
+        body line -- bad JSON, or a record that does not decode to a
+        trace -- raises :class:`ValueError` naming the file and the
         1-based line number, exactly like the eager loader.
         """
         path = Path(path)
@@ -117,9 +128,15 @@ class TraceDataset:
                 raise ValueError(f"missing dataset header in {path}")
             for lineno, line in enumerate(fh, start=2):
                 if line.strip():
-                    yield _trace_from_json(
-                        _parse_dataset_line(line, path, lineno)
-                    )
+                    record = _parse_dataset_line(line, path, lineno)
+                    try:
+                        trace = _trace_from_json(record)
+                    except _DECODE_ERRORS as exc:
+                        raise ValueError(
+                            f"{path}: line {lineno}: malformed trace "
+                            f"record ({type(exc).__name__}: {exc})"
+                        ) from exc
+                    yield trace
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "TraceDataset":
@@ -191,20 +208,36 @@ def _hop_to_json(hop: TraceHop) -> dict:
     return record
 
 
+@functools.lru_cache(maxsize=_DECODE_MEMO_SIZE, typed=True)
+def _address(dotted: str) -> IPv4Address:
+    """Parse (and range-check) a dotted quad once per distinct value.
+
+    Exceptions are not cached: a malformed value raises again on every
+    line that carries it.
+    """
+    return IPv4Address.from_string(dotted)
+
+
+@functools.lru_cache(maxsize=_DECODE_MEMO_SIZE, typed=True)
+def _lse(label: int, tc: int, bos: int, ttl: int) -> QuotedLse:
+    """Build (and range-check) a quoted LSE once per distinct value.
+
+    ``typed=True`` keeps ``16005`` and ``16005.0`` (or ``1`` and
+    ``True``) apart, so a memo hit never changes a field's type.
+    """
+    return QuotedLse(label=label, tc=tc, bottom_of_stack=bool(bos), ttl=ttl)
+
+
 def _hop_from_json(record: dict) -> TraceHop:
     lses = None
     if "lses" in record:
         lses = tuple(
-            QuotedLse(label=l, tc=tc, bottom_of_stack=bool(s), ttl=ttl)
-            for l, tc, s, ttl in record["lses"]
+            _lse(label, tc, bos, ttl)
+            for label, tc, bos, ttl in record["lses"]
         )
     return TraceHop(
         probe_ttl=record["ttl"],
-        address=(
-            IPv4Address.from_string(record["addr"])
-            if "addr" in record
-            else None
-        ),
+        address=_address(record["addr"]) if "addr" in record else None,
         rtt_ms=record.get("rtt"),
         reply_ip_ttl=record.get("rttl"),
         lses=lses,
@@ -241,7 +274,7 @@ def _trace_from_json(record: dict) -> Trace:
     return Trace(
         vp=record["vp"],
         vp_router_id=record["vp_rid"],
-        destination=IPv4Address.from_string(record["dst"]),
+        destination=_address(record["dst"]),
         flow_id=record["flow"],
         hops=tuple(_hop_from_json(h) for h in record["hops"]),
         reached=record["reached"],

@@ -42,8 +42,8 @@ class AsAnalysis:
     traces_quarantined: int = 0
     #: every structural anomaly the sanitizer found (repaired or not)
     anomalies: list[TraceAnomaly] = field(default_factory=list)
-    #: every detected segment occurrence (trace-level)
-    segments: list[DetectedSegment] = field(default_factory=list)
+    #: detected segment occurrences per flag (trace-level, not distinct)
+    observations: Counter[Flag] = field(default_factory=Counter)
     #: distinct segments per flag (Table 3 counts distinct segments)
     distinct_segments: dict[Flag, set] = field(default_factory=dict)
     #: distinct interface addresses per area
@@ -177,8 +177,9 @@ class AsAccumulator:
     segment sets): each trace's contribution depends only on the trace
     itself, so any permutation of the same trace set accumulates to the
     same totals (the service's streaming ≡ batch contract builds on
-    this).  Only the observational *lists* (``anomalies``,
-    ``segments``) record arrival order.
+    this).  Only the ``anomalies`` list records arrival order; segment
+    occurrences are tallied per flag, so a whole-archive accumulator
+    holds no object per occurrence.
 
     ``asn=None`` widens the analysis to every hop of every trace (no
     ownership restriction), which is how the service analyzes datasets
@@ -324,7 +325,7 @@ class ArestPipeline:
 
     def analyze_as(
         self,
-        asn: int,
+        asn: int | None,
         traces: Iterable[Trace],
         fingerprints: Mapping[IPv4Address, Fingerprint] | FingerprintLookup,
         asn_of: AsnLookup | None = None,
@@ -332,7 +333,8 @@ class ArestPipeline:
         sanitizer: TraceSanitizer | None = None,
         telemetry=None,
     ) -> AsAnalysis:
-        """Analyze every trace, keeping only hops inside ``asn``.
+        """Analyze every trace, keeping only hops inside ``asn``
+        (every hop when ``asn`` is None).
 
         ``asn_of`` maps a hop to its owner AS (bdrmapIT-style annotation);
         by default the hop's ``truth_asn`` is used, which corresponds to a
@@ -370,7 +372,7 @@ def _accumulate_segments(
     segments: list[DetectedSegment],
 ) -> None:
     for segment in segments:
-        analysis.segments.append(segment)
+        analysis.observations[segment.flag] += 1
         analysis.distinct_segments[segment.flag].add(segment.key())
         if segment.flag in (Flag.CVR, Flag.CO):
             analysis.consecutive_runs += 1

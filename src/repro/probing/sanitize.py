@@ -63,7 +63,8 @@ _MAX_LABEL = 2**20 - 1
 _MAX_TC = 7
 _MAX_TTL = 255
 
-#: (base, mask) pairs of source ranges no on-path router can own
+#: (base, mask) pairs of source ranges no on-path router can own (the
+#: specification :func:`is_martian` is tested against)
 _MARTIAN_RANGES = (
     (0x00000000, 0xFF000000),  # 0.0.0.0/8        "this network"
     (0x7F000000, 0xFF000000),  # 127.0.0.0/8      loopback
@@ -73,10 +74,14 @@ _MARTIAN_RANGES = (
 
 
 def is_martian(address: IPv4Address) -> bool:
-    """True when no on-path router could legitimately own ``address``."""
-    return any(
-        address.value & mask == base for base, mask in _MARTIAN_RANGES
-    )
+    """True when no on-path router could legitimately own ``address``.
+
+    One range test equivalent to matching :data:`_MARTIAN_RANGES`:
+    224/4 and 240/4 together are everything from 224.0.0.0 up, and
+    0/8 and 127/8 are two values of the first octet.
+    """
+    value = address.value
+    return value >= 0xE0000000 or value >> 24 in (0, 127)
 
 
 class SanitizePolicy(enum.Enum):

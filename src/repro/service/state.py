@@ -9,8 +9,11 @@ Two pieces compose the service's robustness story:
     (set union, counter addition), and each trace's contribution is
     computed independently of every other trace, so **any** arrival
     order, batch split, snapshot boundary or crash-recovery replay of
-    the same trace set folds to the same aggregate -- the foundation of
-    the service's streaming ≡ batch byte-identity contract.
+    the same trace set folds to the same aggregate.  The batch
+    reference (:func:`batch_aggregate`) folds a whole trace set
+    through one accumulator instead, and is held to the per-trace fold
+    by the differential property in ``tests/service`` -- the service's
+    streaming ≡ batch byte-identity contract.
 
 :class:`ServiceState`
     The durable store, built on the checkpoint-v3 JSONL idiom
@@ -178,7 +181,7 @@ class SegmentAggregate:
             traces_in_as=analysis.traces_in_as,
             anomaly_counts=Counter(analysis.anomaly_counts()),
             observations=Counter(
-                segment.flag.name for segment in analysis.segments
+                {flag.name: n for flag, n in analysis.observations.items()}
             ),
             consecutive_runs=analysis.consecutive_runs,
             suffix_matched_runs=analysis.suffix_matched_runs,
@@ -427,16 +430,15 @@ def batch_aggregate(
 ) -> SegmentAggregate:
     """The batch reference: fold a whole trace set into one aggregate.
 
-    This is the exact per-trace fold the streaming service performs --
-    so ``arest detect --segments-json`` and ``GET /segments`` are
-    byte-identical by construction, and the Hypothesis equivalence
-    property guards the construction.
+    One accumulator, one projection and one invariant check for the
+    whole set, however large.  The streaming service folds the same
+    traces one :func:`analyze_trace` delta at a time; the two folds
+    are held to identical ``arest detect --segments-json`` and
+    ``GET /segments`` bytes by the Hypothesis equivalence and
+    merge-algebra properties.
     """
     pipeline = pipeline if pipeline is not None else ArestPipeline()
-    total = SegmentAggregate()
-    for trace in traces:
-        total.merge(analyze_trace(trace, asn=asn, pipeline=pipeline))
-    return total
+    return SegmentAggregate.from_analysis(pipeline.analyze_as(asn, traces, {}))
 
 
 # ---------------------------------------------------------------------------

@@ -137,3 +137,86 @@ class TestJsonlRoundtrip:
         path = tmp_path / "prop.jsonl"
         dataset.dump_jsonl(path)
         assert TraceDataset.load_jsonl(path).traces[0] == trace
+
+
+def _trace_line(hops: list[dict], dst: str = "192.0.2.1") -> str:
+    return json.dumps(
+        {
+            "kind": "trace",
+            "vp": "v",
+            "vp_rid": 0,
+            "dst": dst,
+            "flow": 1,
+            "reached": False,
+            "hops": hops,
+        }
+    )
+
+
+def _write_archive(path, lines: list[str]) -> None:
+    header = json.dumps({"kind": "header", "target_asn": 293, "metadata": {}})
+    path.write_text("\n".join([header, *lines]) + "\n")
+
+
+class TestDecodeMemo:
+    """Each distinct address and LSE is parsed once, never trusted blindly."""
+
+    @pytest.mark.parametrize(
+        "bad_hop, detail",
+        [
+            ({"ttl": 1, "addr": "10.0.0.300"}, "malformed IPv4 address"),
+            (
+                {"ttl": 1, "addr": "10.0.0.1", "lses": [[2**20, 0, 1, 1]]},
+                "label out of range",
+            ),
+        ],
+    )
+    def test_bad_value_raises_on_every_line_that_carries_it(
+        self, tmp_path, bad_hop, detail
+    ):
+        path = tmp_path / "bad.jsonl"
+        good = _trace_line([{"ttl": 1, "addr": "10.0.0.1"}])
+        bad = _trace_line([bad_hop])
+        for lines, lineno in (([bad, bad], 2), ([good, bad], 3)):
+            _write_archive(path, lines)
+            with pytest.raises(ValueError) as excinfo:
+                TraceDataset.load_jsonl(path)
+            message = str(excinfo.value)
+            assert str(path) in message
+            assert f"line {lineno}:" in message
+            assert detail in message
+            assert isinstance(excinfo.value.__cause__, ValueError)
+
+    def test_decoded_hops_equal_directly_built_ones(self, tmp_path):
+        path = tmp_path / "memo.jsonl"
+        hops = [
+            {"ttl": 1, "addr": "10.0.0.1", "lses": [[16005, 0, 1, 1]]},
+            {"ttl": 2, "addr": "10.0.0.1", "lses": [[16005, 0, 1, 1]]},
+            {"ttl": 3, "addr": "10.0.0.2", "lses": [[16005.0, 0, True, 1]]},
+            {"ttl": 4, "addr": "10.0.0.2", "lses": [[16005, 0, 1, 1]]},
+        ]
+        _write_archive(path, [_trace_line(hops), _trace_line(hops)])
+        expected = tuple(
+            TraceHop(
+                probe_ttl=hop["ttl"],
+                address=IPv4Address.from_string(hop["addr"]),
+                lses=tuple(
+                    QuotedLse(
+                        label=label, tc=tc, bottom_of_stack=bool(bos), ttl=ttl
+                    )
+                    for label, tc, bos, ttl in hop["lses"]
+                ),
+            )
+            for hop in hops
+        )
+        traces = list(TraceDataset.iter_jsonl(path))
+        assert len(traces) == 2
+        for trace in traces:
+            assert trace.hops == expected
+            assert trace.destination == IPv4Address.from_string("192.0.2.1")
+            labels = [hop.lses[0].label for hop in trace.hops]
+            # a memo hit never changes a field's type
+            assert [type(label) for label in labels] == [int, int, float, int]
+            assert all(
+                type(hop.lses[0].bottom_of_stack) is bool for hop in trace.hops
+            )

@@ -7,6 +7,8 @@ label stacks, suffix families, address-less labeled hops, TNT-revealed
 hops, every fingerprint grade, and the mask/filter knobs.
 """
 
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 
 from repro.campaign.dataset import TraceDataset
@@ -144,14 +146,25 @@ class TestPipelineParity:
     ):
         traces = [build_trace(s) for s in specs]
         analyses = []
+        sinks = []
         object_path = ArestPipeline(detector=ArestDetector())
         for pipeline in (ArestPipeline(), object_path):
+            sink = []
             analyses.append(
-                pipeline.analyze_as(100, traces, fingerprints)
+                pipeline.analyze_as(
+                    100, traces, fingerprints, segment_sink=sink
+                )
             )
+            sinks.append(sink)
         fast, reference = analyses
         assert fast.flag_counts() == reference.flag_counts()
-        assert fast.segments == reference.segments
+        # every per-occurrence segment, trace by trace
+        assert sinks[0] == sinks[1]
+        assert fast.observations == reference.observations
+        assert fast.observations == Counter(
+            segment.flag for _trace, segments in sinks[0]
+            for segment in segments
+        )
         assert fast.traces_total == reference.traces_total
         assert fast.traces_in_as == reference.traces_in_as
         assert fast.traces_quarantined == reference.traces_quarantined

@@ -71,7 +71,8 @@ class TestAnalyzeAs:
         analysis = ArestPipeline().analyze_as(TARGET_ASN, traces, {})
         # the same segment observed four times counts once
         assert analysis.flag_counts()[Flag.CO] == 1
-        assert len(analysis.segments) == 4
+        assert sum(analysis.observations.values()) == 4
+        assert analysis.observations == {Flag.CO: 4}
 
     def test_custom_asn_lookup(self, sr_chain):
         prober = TntProber(sr_chain.engine, seed=5)

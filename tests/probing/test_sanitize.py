@@ -1,5 +1,7 @@
 """Unit tests for trace sanitization: repair, quarantine, policies."""
 
+import random
+
 import pytest
 
 from repro.netsim.addressing import IPv4Address
@@ -9,6 +11,7 @@ from repro.probing.sanitize import (
     SanitizePolicy,
     TraceSanitizationError,
     TraceSanitizer,
+    _MARTIAN_RANGES,
     is_martian,
 )
 
@@ -294,3 +297,21 @@ class TestAnomalyRecords:
         assert is_martian(IPv4Address.from_string("255.255.255.255"))
         assert not is_martian(IPv4Address.from_string("10.0.0.1"))
         assert not is_martian(IPv4Address.from_string("203.0.113.7"))
+
+    def test_martian_range_test_matches_the_table(self):
+        def table(value):
+            return any(
+                value & mask == base for base, mask in _MARTIAN_RANGES
+            )
+
+        edges = set()
+        for base, mask in _MARTIAN_RANGES:
+            last = base | (~mask & 0xFFFFFFFF)
+            for edge in (base, last):
+                edges.update((edge - 1, edge, edge + 1))
+        rng = random.Random(1234)
+        sample = {rng.getrandbits(32) for _ in range(20_000)}
+        values = {v for v in edges | sample if 0 <= v <= 0xFFFFFFFF}
+        assert {0, 0xFFFFFFFF, 0xE0000000 - 1, 0x80000000} <= values
+        for value in sorted(values):
+            assert is_martian(IPv4Address(value)) == table(value), hex(value)

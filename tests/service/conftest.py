@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from hypothesis import strategies as st
 
 from repro.probing.records import Trace
-from tests.conftest import make_hop, make_trace
+from tests.conftest import TARGET_ASN, make_hop, make_trace
 
 
 def corpus(n: int = 6) -> list[Trace]:
@@ -50,6 +52,8 @@ def trace_strategy(draw) -> Trace:
     The pool is deliberately narrow so different traces collide on
     distinct-segment keys -- the interesting case for order
     independence (set-union dedup must not care who arrived first).
+    Hops are owned by AS 65001, another AS, or nobody, so an
+    ``asn=65001`` analysis keeps some hops and masks others.
     """
     length = draw(st.integers(min_value=1, max_value=4))
     hops = []
@@ -64,14 +68,14 @@ def trace_strategy(draw) -> Trace:
                 )
             )
         )
-        hops.append(
-            make_hop(
-                ttl,
-                f"10.9.{octet}.{ttl}" if has_address else None,
-                labels=labels if has_address else (),
-                lse_ttl=draw(st.sampled_from([1, 255])),
-            )
+        hop = make_hop(
+            ttl,
+            f"10.9.{octet}.{ttl}" if has_address else None,
+            labels=labels if has_address else (),
+            lse_ttl=draw(st.sampled_from([1, 255])),
         )
+        owner = draw(st.sampled_from([TARGET_ASN, 64999, None]))
+        hops.append(replace(hop, truth_asn=owner))
     hops.append(
         make_hop(length + 1, "203.0.113.1", destination_reply=True)
     )

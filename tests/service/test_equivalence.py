@@ -3,9 +3,10 @@
 Streaming the same traces -- in any arrival order, any batch split,
 with compaction landing at any point, even across a recovery -- must
 produce ``GET /segments`` bytes identical to the batch pipeline over
-the same set.  The aggregate is order-independent by construction
-(set unions and counter additions only); these properties guard the
-construction.
+the same set.  The batch pipeline folds the whole set through one
+accumulator while the service merges one delta per trace, so these
+properties are a real differential between two folds, not a
+restatement of one.
 """
 
 from __future__ import annotations
